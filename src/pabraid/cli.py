@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -26,6 +27,9 @@ EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_ORACLE_MISMATCH = 3
 
+# below double precision the polished witness can fall outside its enclosure
+_MIN_PRECISION_BITS = 53
+
 _CSV_HEADER = "family,m,n,class,lambda,log_lambda"
 
 
@@ -38,7 +42,7 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
     parser.add_argument("--csv", action="store_true", help="shorthand for --format csv")
     parser.add_argument("--precision", type=int, default=128, metavar="BITS",
-                        help="working precision for witnesses and root sets (default 128)")
+                        help="working precision for witnesses and root sets (default 128, at least 53)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,6 +79,15 @@ def _build_parser() -> argparse.ArgumentParser:
     _common_flags(p_hs)
 
     return parser
+
+
+def _check_common_flags(args) -> None:
+    if not math.isfinite(args.tol):
+        raise ValueError(f"--tol must be finite, got {args.tol}")
+    if args.precision < _MIN_PRECISION_BITS:
+        raise ValueError(
+            f"--precision must be at least {_MIN_PRECISION_BITS} bits, got {args.precision}"
+        )
 
 
 def _fmt(args) -> str:
@@ -213,6 +226,7 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_common_flags(args)
         return _COMMANDS[args.command](args)
     except OracleMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)

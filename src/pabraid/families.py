@@ -47,7 +47,6 @@ class TNKind(enum.Enum):
 
 class Provenance(enum.Enum):
     CLOSED_FORM = "closed_form"
-    MATRIX_CHARPOLY = "matrix_charpoly"
     BOTH_AGREE = "both_agree"
 
 
@@ -254,9 +253,7 @@ def dilatation(
 
     For pseudo-Anosov parameters the greatest real root (above 1) of the
     closed-form polynomial is isolated exactly.  With ``cross_validate`` the
-    characteristic polynomial of the transition matrix must reproduce it:
-    either the polynomials agree exactly (they do for both families) or
-    their separately-isolated greatest roots agree within ``2 * tol``;
+    characteristic polynomial of the transition matrix must equal it exactly;
     otherwise :class:`OracleMismatchError` is raised.  Periodic and reducible
     parameters return a result without a root.
     """
@@ -267,14 +264,11 @@ def dilatation(
     root = _isolate_above_one(poly, tol, prec)
     provenance = Provenance.CLOSED_FORM
     if cross_validate:
-        matrix_poly = linalg.char_poly(transition_matrix(params))
-        if matrix_poly != poly:
-            other = _isolate_above_one(matrix_poly, tol, prec)
-            if abs(root.midpoint - other.midpoint) > 2 * Fraction(tol):
-                raise OracleMismatchError(
-                    f"matrix and closed-form roots disagree for "
-                    f"{params.family.value}({params.m},{params.n})"
-                )
+        if linalg.char_poly(transition_matrix(params)) != poly:
+            raise OracleMismatchError(
+                f"matrix and closed-form polynomials differ for "
+                f"{params.family.value}({params.m},{params.n})"
+            )
         provenance = Provenance.BOTH_AGREE
     return DilatationResult(params, kind, poly, root, provenance)
 

@@ -7,9 +7,11 @@ correspond to the sigma braid family with parameters ``(m, n)``, ``n >= m+2``:
 * form A: ``1 0^(n-1) 1 0^m``
 * form B: ``1 0^(n-1) 1 0^(m-1) 1``
 
-Both have length ``m + n + 1``, the strand count of the braid.  Codes outside
-these shapes (for example the period-8 word 10010110) belong to other braid
-types and are reported as unmatched.
+Both have length ``m + n + 1``, the strand count of the braid.  Form A has
+two 1s and form B three, so a word is matched by the runs of 0s (the gaps)
+between its cyclically neighbouring 1s, in one pass and without trying
+rotations.  Codes outside these shapes (for example the period-8 word
+10010110) belong to other braid types and are reported as unmatched.
 """
 
 from __future__ import annotations
@@ -57,49 +59,27 @@ def canonicalize(word: str) -> CodeOrbit:
     return CodeOrbit(word, len(word), canonical, primitive)
 
 
-def _parse_form_a(rotation: str) -> FamilyMatch | None:
-    # 1 0^(n-1) 1 0^m with m >= 1, n >= m+2
-    if not rotation.startswith("1"):
-        return None
-    rest = rotation[1:]
-    second = rest.find("1")
-    if second < 0 or "1" in rest[second + 1 :]:
-        return None
-    n = second + 1
-    m = len(rest) - second - 1
-    if m >= 1 and n >= m + 2:
-        return FamilyMatch(m, n, "A")
-    return None
-
-
-def _parse_form_b(rotation: str) -> FamilyMatch | None:
-    # 1 0^(n-1) 1 0^(m-1) 1 with m >= 1, n >= m+2
-    if not rotation.startswith("1") or not rotation.endswith("1") or len(rotation) < 3:
-        return None
-    body = rotation[1:-1]
-    second = body.find("1")
-    if second < 0 or "1" in body[second + 1 :]:
-        return None
-    n = second + 1
-    m = len(body) - second
-    if m >= 1 and n >= m + 2:
-        return FamilyMatch(m, n, "B")
-    return None
-
-
 def code_to_family(word: str) -> FamilyMatch | None:
     """Match the orbit code (up to rotation) against the two family shapes.
 
-    Form A is tried across every rotation before form B, so a word that
-    somehow fits both resolves deterministically.  Returns None when no
-    rotation matches; that is a value, not an error.
+    Form A is a word with two 1s whose gaps are ``a < b`` with ``a >= 1``
+    (then ``m = a``, ``n = b + 1``); form B is a word with three 1s whose
+    gaps, in cyclic order, are ``(n - 1, m - 1, 0)`` with ``n - m >= 2``.
+    Each match is unique.  Returns None when neither shape fits; that is a
+    value, not an error.
     """
     _validate_binary(word)
-    for parser in (_parse_form_a, _parse_form_b):
-        for rotation in _rotations(word):
-            match = parser(rotation)
-            if match is not None:
-                return match
+    ones = [i for i, ch in enumerate(word) if ch == "1"]
+    gaps = [(ones[(k + 1) % len(ones)] - i - 1) % len(word) for k, i in enumerate(ones)]
+    if len(gaps) == 2:
+        a, b = sorted(gaps)
+        if 1 <= a < b:
+            return FamilyMatch(a, b + 1, "A")
+    elif len(gaps) == 3:
+        for k in range(3):
+            n_gap, m_gap, last = gaps[k:] + gaps[:k]
+            if last == 0 and n_gap - m_gap >= 2:
+                return FamilyMatch(m_gap + 1, n_gap + 1, "B")
     return None
 
 

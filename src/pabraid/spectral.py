@@ -10,10 +10,11 @@ Two independent routes coexist deliberately and must stay independent:
   evaluations.  Floating point only ever touches the reported witness.
 
 * :func:`all_roots` is numeric.  It runs Aberth-Ehrlich simultaneous
-  iteration in arbitrary-precision arithmetic, after an exact squarefree
-  decomposition so that repeated roots (the families here genuinely have
-  double roots at -1) are located at full accuracy with exact integer
-  multiplicities.  Each approximation carries a Newton residual.
+  iteration, after an exact squarefree decomposition so that repeated roots
+  (the families here genuinely have double roots at -1) are located at full
+  accuracy with exact integer multiplicities.  One sweep routine serves both
+  the double-precision warm start and the arbitrary-precision refinement.
+  Each approximation carries a Newton residual.
 """
 
 from __future__ import annotations
@@ -296,47 +297,38 @@ def _exact_root_enclosure(
 # -- simultaneous iteration --------------------------------------------------
 
 
-def _float_aberth(coeffs: Sequence[int]) -> list[complex]:
-    """Double-precision Aberth-Ehrlich warm start from perturbed-circle points."""
-    scale = max(abs(c) for c in coeffs)
-    cs = [float(Fraction(c, scale)) for c in coeffs]
-    d = len(cs) - 1
-    lead = cs[-1]
-    radius = 0.5 + 0.7 * max(abs(c / lead) for c in cs[:-1])
-    zs = [
-        radius * cmath.exp(2j * cmath.pi * (k + 0.354) / d + 0.13j)
-        for k in range(d)
-    ]
-    dcs = [i * c for i, c in enumerate(cs)][1:]
+def _horner(coeffs: Sequence, z):
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
 
-    def horner(poly, z):
-        acc = 0j
-        for c in reversed(poly):
-            acc = acc * z + c
-        return acc
 
-    for _ in range(240):
-        moved = False
+def _aberth(evaluate, zs: list, tiny, iters: int) -> list:
+    """Jacobi-style Aberth-Ehrlich sweeps in the arithmetic of ``zs``.
+
+    ``evaluate(z)`` returns the polynomial and its derivative at ``z``.  The
+    sweeps stop once every correction is below ``tiny`` relative to
+    ``1 + |z|``, or after ``iters`` sweeps.
+    """
+    for _ in range(iters):
         news = []
+        moved = False
         for i, z in enumerate(zs):
-            p = horner(cs, z)
-            dp = horner(dcs, z)
+            p, dp = evaluate(z)
             if dp == 0:
-                news.append(z + 1e-6 + 1e-6j)
-                moved = True
+                news.append(z if p == 0 else z + tiny)
                 continue
             w = p / dp
-            s = 0j
+            s = 0
             for j, other in enumerate(zs):
                 if j != i:
                     diff = z - other
-                    if diff == 0:
-                        diff = 1e-12
-                    s += 1 / diff
+                    s += 1 / (diff if diff != 0 else tiny)
             denom = 1 - w * s
             delta = w / denom if denom != 0 else w
             news.append(z - delta)
-            if abs(delta) > 1e-13 * (1 + abs(z)):
+            if abs(delta) / (1 + abs(z)) >= tiny:
                 moved = True
         zs = news
         if not moved:
@@ -344,44 +336,9 @@ def _float_aberth(coeffs: Sequence[int]) -> list[complex]:
     return zs
 
 
-def _mp_aberth(g: IntPolynomial, start: Sequence, prec: int, iters: int = 120):
-    """Aberth-Ehrlich refinement sweep at ``prec`` bits (Jacobi-style updates)."""
-    with mp.workprec(prec):
-        deriv = g.derivative()
-        zs = [mp.mpc(z) for z in start]
-        step_target = mp.mpf(2) ** (16 - prec)
-        for _ in range(iters):
-            news = []
-            worst = mp.mpf(0)
-            for i, z in enumerate(zs):
-                p = g(z)
-                dp = deriv(z)
-                if dp == 0:
-                    news.append(z if p == 0 else z + step_target)
-                    continue
-                w = p / dp
-                s = mp.mpc(0)
-                for j, other in enumerate(zs):
-                    if j != i:
-                        diff = z - other
-                        if diff == 0:
-                            diff = mp.mpc(step_target)
-                        s += 1 / diff
-                denom = 1 - w * s
-                delta = w / denom if denom != 0 else w
-                news.append(z - delta)
-                scale = 1 + abs(z)
-                rel = abs(delta) / scale
-                if rel > worst:
-                    worst = rel
-            zs = news
-            if worst < step_target:
-                break
-        return zs
-
-
 def _factor_roots(factor: IntPolynomial, prec: int):
-    """Roots of one squarefree factor at ``prec`` bits."""
+    """Roots of one squarefree factor at ``prec`` bits: a double-precision
+    warm start from perturbed-circle points, then refinement at ``prec``."""
     d = factor.degree
     with mp.workprec(prec):
         if d == 1:
@@ -396,8 +353,16 @@ def _factor_roots(factor: IntPolynomial, prec: int):
             r1 = q / c2
             r2 = mp.mpc(c0) / q if q != 0 else mp.mpc(0)
             return [r1, r2]
-    warm = _float_aberth(factor.coeffs)
-    return _mp_aberth(factor, warm, prec)
+    scale = max(abs(c) for c in factor.coeffs)
+    cs = [float(Fraction(c, scale)) for c in factor.coeffs]
+    dcs = [i * c for i, c in enumerate(cs)][1:]
+    radius = 0.5 + 0.7 * max(abs(c / cs[-1]) for c in cs[:-1])
+    start = [radius * cmath.exp(2j * cmath.pi * (k + 0.354) / d + 0.13j) for k in range(d)]
+    warm = _aberth(lambda z: (_horner(cs, z), _horner(dcs, z)), start, 1e-13, 240)
+    with mp.workprec(prec):
+        deriv = factor.derivative()
+        zs = [mp.mpc(z) for z in warm]
+        return _aberth(lambda z: (factor(z), deriv(z)), zs, mp.mpf(2) ** (16 - prec), 120)
 
 
 def all_roots(

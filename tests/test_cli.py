@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from pabraid import cli
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -146,3 +148,30 @@ def test_horseshoe_unmatched_codes():
 def test_horseshoe_rejects_non_binary():
     proc = run_cli("horseshoe", "10a1")
     assert proc.returncode == 2
+
+
+_SUBCOMMANDS = [
+    ["dilatation", "beta", "1", "1"],
+    ["table", "beta", "1..2", "1..2"],
+    ["salem-boyd", "BASE", "3"],
+    ["verify"],
+    ["horseshoe", "10010"],
+]
+
+
+def _with_base(argv, tmp_path):
+    base = tmp_path / "base.txt"
+    base.write_text("-2,-1,1")
+    return [str(base) if a == "BASE" else a for a in argv]
+
+
+@pytest.mark.parametrize(
+    "flag",
+    ["--tol=inf", "--tol=-inf", "--tol=nan", "--precision=52", "--precision=16", "--precision=0", "--precision=-5"],
+)
+@pytest.mark.parametrize("argv", _SUBCOMMANDS, ids=lambda argv: argv[0])
+def test_bad_common_flag_rejected_before_work(argv, flag, tmp_path, capsys):
+    assert cli.main(_with_base(argv, tmp_path) + [flag]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1

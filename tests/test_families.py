@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from pabraid import cli, linalg, verify
 from pabraid.families import (
     Family,
     FamilyParams,
+    OracleMismatchError,
     Provenance,
     TNKind,
     classify,
@@ -190,6 +192,24 @@ def test_dilatation_sigma_2_5_anchor():
 def test_dilatation_sigma_4_6_log_anchor():
     res = dilatation(sigma(4, 6))
     assert abs(math.log(float(res.root.witness)) - 0.240965) <= 1e-6
+
+
+def test_matrix_oracle_demands_exact_equality(monkeypatch):
+    # a different polynomial with the same greatest root must still be refused
+    p = beta(2, 3)
+    fake = closed_form_poly(p) * IntPolynomial([2, 1])
+    monkeypatch.setattr(linalg, "char_poly", lambda mat: fake)
+    with pytest.raises(OracleMismatchError):
+        dilatation(p)
+    assert cli.main(["dilatation", "beta", "2", "3"]) == cli.EXIT_ORACLE_MISMATCH
+
+
+def test_verify_matrix_oracle_demands_exact_equality(monkeypatch):
+    real = linalg.char_poly
+    monkeypatch.setattr(linalg, "char_poly", lambda mat: real(mat) * IntPolynomial([2, 1]))
+    result = verify._check_matrix_oracle(verify._Session(verify._DEPTHS["quick"], 1e-9))
+    assert not result.passed
+    assert result.worst_margin == -1.0
 
 
 def test_dilatation_non_pa_has_no_root():

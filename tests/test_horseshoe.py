@@ -67,6 +67,24 @@ def test_round_trip_and_length_law():
             assert code_to_family(code_b) == FamilyMatch(m, n, "B")
 
 
+def test_code_to_family_matches_definition_on_all_short_words():
+    # the match implied by the rotations of every family code, up to length 12
+    expected = {}
+    for length in range(1, 13):
+        for m in range(1, length):
+            n = length - m - 1
+            if n < m + 2:
+                continue
+            for code, form in zip(family_to_codes(m, n), "AB"):
+                match = FamilyMatch(m, n, form)
+                for k in range(length):
+                    assert expected.setdefault(code[k:] + code[:k], match) == match
+    for length in range(1, 13):
+        for bits in range(2**length):
+            word = format(bits, f"0{length}b")
+            assert code_to_family(word) == expected.get(word), word
+
+
 def test_rotation_invariance():
     for code in ("10010", "10011", "1000100", "10010110"):
         expected = code_to_family(code)
