@@ -82,8 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_common_flags(args) -> None:
-    if not math.isfinite(args.tol):
-        raise ValueError(f"--tol must be finite, got {args.tol}")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol must be positive and finite, got {args.tol}")
     if args.precision < _MIN_PRECISION_BITS:
         raise ValueError(
             f"--precision must be at least {_MIN_PRECISION_BITS} bits, got {args.precision}"

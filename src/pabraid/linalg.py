@@ -4,11 +4,11 @@ rigorous Perron-root enclosures for nonnegative matrices.
 The convention throughout is that column ``j`` holds the image of the j-th
 basis vector, so a matrix acts on coefficient vectors by left multiplication.
 
-The characteristic polynomial is computed without floating point: the
-determinant ``det(xI - M)`` is evaluated by fraction-free Bareiss elimination
-at the integer points ``x = 0..dim`` and the coefficients are recovered by
-exact Newton interpolation on that grid.  The result is asserted to be
-integral and monic.
+The characteristic polynomial is computed without floating point or
+division by Berkowitz's recurrence over the leading principal blocks, using
+sparse rows so that the cost follows the number of nonzero entries.  The
+result is asserted to be monic of full degree.  Fraction-free Bareiss
+elimination stays as an independent determinant oracle.
 """
 
 from __future__ import annotations
@@ -97,47 +97,34 @@ def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
 
 
 def char_poly(m: IntMatrix) -> IntPolynomial:
-    """Exact monic characteristic polynomial ``det(tI - M)``, ascending coefficients."""
-    n = m.dim
-    values = []
-    for x in range(n + 1):
-        shifted = [
-            [(x if i == j else 0) - m.entries[i][j] for j in range(n)] for i in range(n)
-        ]
-        values.append(bareiss_determinant(shifted))
-    coeffs = _interpolate_on_integer_grid(values)
-    poly = IntPolynomial(coeffs)
-    if poly.degree != n or not poly.is_monic():
-        raise ArithmeticError("interpolated characteristic polynomial is not monic of full degree")
-    return poly
+    """Exact monic characteristic polynomial ``det(tI - M)``, ascending coefficients.
 
-
-def _interpolate_on_integer_grid(values: Sequence[int]) -> list[int]:
-    """Coefficients of the unique degree-<len polynomial taking ``values`` at 0..d.
-
-    Newton's forward-difference form: the divided difference at depth k is the
-    k-th finite difference divided by k!.  The basis product ``x(x-1)..(x-k+1)``
-    is accumulated exactly as an integer polynomial.
+    Berkowitz: with ``A_k`` the leading ``k x k`` block and ``C``/``R`` the
+    first ``k`` entries of column/row ``k``, ``det(tI - A_{k+1})`` is
+    ``det(tI - A_k)`` convolved with ``1, -M[k][k], -R C, -R A_k C, ...,
+    -R A_k^(k-1) C``.  The products ``A_k^j C`` run over sparse rows.
     """
-    d = len(values) - 1
-    diffs = list(values)
-    acc = [Fraction(0)] * (d + 1)
-    basis = IntPolynomial.one()
-    factorial = 1
-    for k in range(d + 1):
-        if k > 0:
-            factorial *= k
-            diffs = [diffs[i + 1] - diffs[i] for i in range(len(diffs) - 1)]
-        top = diffs[0]
-        if top:
-            scale = Fraction(top, factorial)
-            for i, c in enumerate(basis.coeffs):
-                acc[i] += scale * c
-        if k < d:
-            basis = basis * IntPolynomial([-k, 1])
-    if any(c.denominator != 1 for c in acc):
-        raise ArithmeticError("interpolation produced non-integer coefficients")
-    return [int(c) for c in acc]
+    n = m.dim
+    a = m.entries
+    rows: list[list[tuple[int, int]]] = []  # nonzero (column, entry) pairs of A_k
+    desc = [1]  # descending coefficients of det(tI - A_k)
+    for k in range(n):
+        row_k = a[k]
+        r = [(j, row_k[j]) for j in range(k) if row_k[j]]
+        v = [a[i][k] for i in range(k)]
+        taps = [1, -row_k[k]]
+        for _ in range(k):
+            taps.append(-sum(x * v[j] for j, x in r))
+            v = [sum(x * v[j] for j, x in row) for row in rows]
+        desc = [sum(taps[i - j] * desc[j] for j in range(min(i, k) + 1)) for i in range(k + 2)]
+        for i in range(k):
+            if a[i][k]:
+                rows[i].append((k, a[i][k]))
+        rows.append(r + [(k, row_k[k])] if row_k[k] else r)
+    poly = IntPolynomial(reversed(desc))
+    if poly.degree != n or not poly.is_monic():
+        raise ArithmeticError("characteristic polynomial is not monic of full degree")
+    return poly
 
 
 def is_irreducible(m: IntMatrix) -> bool:

@@ -12,9 +12,10 @@ Two independent routes coexist deliberately and must stay independent:
 * :func:`all_roots` is numeric.  It runs Aberth-Ehrlich simultaneous
   iteration, after an exact squarefree decomposition so that repeated roots
   (the families here genuinely have double roots at -1) are located at full
-  accuracy with exact integer multiplicities.  One sweep routine serves both
-  the double-precision warm start and the arbitrary-precision refinement.
-  Each approximation carries a Newton residual.
+  accuracy with exact integer multiplicities.  One Gauss-Seidel sweep
+  routine, which freezes converged roots, serves both the double-precision
+  warm start and the fixed-point integer refinement.  Each approximation
+  carries the Newton residual of its refinement's last evaluation.
 """
 
 from __future__ import annotations
@@ -69,6 +70,10 @@ class RootEnclosure:
     def __post_init__(self):
         if not self.lower < self.upper:
             raise ValueError("enclosure requires lower < upper")
+        man, exp = self.witness.man_exp
+        exact = Fraction(man) * Fraction(2) ** exp * (-1 if self.witness < 0 else 1)
+        if not self.lower <= exact <= self.upper:
+            raise ValueError("witness lies outside its enclosure: --tol is finer than --precision can resolve")
 
     @property
     def width(self) -> Fraction:
@@ -102,11 +107,10 @@ class RootApprox:
     """One root approximation with its Newton residual and the exact
     multiplicity it carries in the input polynomial.
 
-    The residual is ``|g(z)/g'(z)|`` for the squarefree factor ``g`` that
-    the root was located in; for a simple root this is the classical
-    ``|f(z)/f'(z)|`` up to the smooth cofactor, and for a multiple root it
-    is the quantity that actually bounds the distance to the true root
-    (the ratio against ``f`` itself degenerates to evaluation noise there).
+    The residual is ``|g/g'|`` for the squarefree factor ``g`` that the root
+    was located in (against ``f`` itself a multiple root would give only
+    evaluation noise), taken at the root's last evaluation, just before its
+    last correction, so a converged iteration overstates the distance.
     """
 
     value: object  # mpmath.mpc
@@ -297,72 +301,92 @@ def _exact_root_enclosure(
 # -- simultaneous iteration --------------------------------------------------
 
 
-def _horner(coeffs: Sequence, z):
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
+def _aberth_excess(w: complex, s: complex) -> complex:
+    """``w / (1 - w s) - w``: the Aberth correction minus the Newton one."""
+    q = w * s
+    return w * q / (1 - q) if q != 1 else 0j
 
 
-def _aberth(evaluate, zs: list, tiny, iters: int) -> list:
-    """Jacobi-style Aberth-Ehrlich sweeps in the arithmetic of ``zs``.
+def _aberth(step, zs: list[complex], tiny: float, iters: int) -> None:
+    """Gauss-Seidel Aberth-Ehrlich sweeps over double copies ``zs`` of the roots.
 
-    ``evaluate(z)`` returns the polynomial and its derivative at ``z``.  The
-    sweeps stop once every correction is below ``tiny`` relative to
-    ``1 + |z|``, or after ``iters`` sweeps.
+    ``step(i, s)`` gets ``s = sum 1/(z_i - z_j)`` in doubles, corrects root
+    ``i`` in its stage's arithmetic and returns its new double copy and the
+    correction's size relative to ``1 + |z|``; below ``tiny`` it is frozen.
     """
+    live = list(range(len(zs)))
     for _ in range(iters):
-        news = []
-        moved = False
-        for i, z in enumerate(zs):
-            p, dp = evaluate(z)
-            if dp == 0:
-                news.append(z if p == 0 else z + tiny)
-                continue
-            w = p / dp
-            s = 0
-            for j, other in enumerate(zs):
-                if j != i:
-                    diff = z - other
-                    s += 1 / (diff if diff != 0 else tiny)
-            denom = 1 - w * s
-            delta = w / denom if denom != 0 else w
-            news.append(z - delta)
-            if abs(delta) / (1 + abs(z)) >= tiny:
-                moved = True
-        zs = news
-        if not moved:
-            break
-    return zs
+        for i in list(live):
+            z = zs[i]
+            zs[i], size = step(i, sum([1 / (z - other) for other in zs if other != z]))
+            if size < tiny:
+                live.remove(i)
 
 
-def _factor_roots(factor: IntPolynomial, prec: int):
-    """Roots of one squarefree factor at ``prec`` bits: a double-precision
-    warm start from perturbed-circle points, then refinement at ``prec``."""
+def _to_fixed(x: float, bits: int) -> int:
+    """``floor(x * 2^bits)``, exact for every finite double."""
+    num, den = x.as_integer_ratio()
+    return (num << bits) // den
+
+
+def _factor_roots(factor: IntPolynomial, prec: int) -> list[tuple[object, object]]:
+    """Roots of one squarefree factor at ``prec`` bits with their residuals:
+    a double warm start on the circle of radius ``|c0/cd|^(1/d)``, then a
+    refinement at ``(a + bi) / 2^(prec + 32)`` with integer ``a, b`` (one
+    exact Horner pass for ``p`` and ``p'``; with integer coefficients its
+    error is below a ``prec``-bit floating Horner bound)."""
     d = factor.degree
+    coeffs = factor.coeffs
+    scale = max(abs(c) for c in coeffs)
+    cs = [float(Fraction(c, scale)) for c in coeffs]
+    radius = (abs(coeffs[0]) / abs(coeffs[-1])) ** (1 / d) if coeffs[0] else (
+        0.5 + 0.7 * max(abs(c / cs[-1]) for c in cs[:-1]))
+    zs = [radius * cmath.exp(2j * cmath.pi * (k + 0.354) / d + 0.13j) for k in range(d)]
+
+    def warm(i: int, s: complex):
+        z = zs[i]
+        p = dp = 0j
+        for c in reversed(cs):
+            dp = dp * z + p
+            p = p * z + c
+        if dp == 0:
+            return (z, 0.0) if p == 0 else (z + 1e-13, 1.0)
+        w = p / dp
+        delta = w + _aberth_excess(w, s)
+        return z - delta, abs(delta) / (1 + abs(z))
+
+    _aberth(warm, zs, 1e-13, 240)
+    if not all(map(cmath.isfinite, zs)):
+        raise ConvergenceError("double-precision warm start diverged")
+
+    bits = prec + 32
+    one = 1 << bits
+    tiny = 2.0 ** (16 - prec)
+    fixed = [[_to_fixed(z.real, bits), _to_fixed(z.imag, bits)] for z in zs]
+    newton: list = [None] * d
+
+    def refine(i: int, s: complex):
+        a, b = fixed[i]
+        pr = pi = dr = di = 0
+        for c in reversed(coeffs):
+            dr, di = ((dr * a - di * b) >> bits) + pr, ((dr * b + di * a) >> bits) + pi
+            pr, pi = ((pr * a - pi * b) >> bits) + (c << bits), (pr * b + pi * a) >> bits
+        den = dr * dr + di * di
+        if den == 0:  # an exact root if p vanishes too, else an unusable one
+            newton[i] = (0, 0) if pr == pi == 0 else None
+            return zs[i], 0.0
+        wr, wi = ((pr * dr + pi * di) << bits) // den, ((pi * dr - pr * di) << bits) // den
+        newton[i] = (wr, wi)
+        w = complex(wr / one, wi / one)
+        excess = _aberth_excess(w, s)
+        fixed[i] = [a - wr - _to_fixed(excess.real, bits), b - wi - _to_fixed(excess.imag, bits)]
+        return complex(fixed[i][0] / one, fixed[i][1] / one), abs(w + excess) / (1 + abs(zs[i]))
+
+    _aberth(refine, zs, tiny, 120)
     with mp.workprec(prec):
-        if d == 1:
-            c0, c1 = factor.coeffs
-            return [mp.mpc(mp.mpf(-c0) / c1)]
-        if d == 2:
-            c0, c1, c2 = factor.coeffs
-            disc = mp.mpc(c1 * c1 - 4 * c2 * c0)
-            sq = mp.sqrt(disc)
-            # the sign choice that avoids cancellation
-            q = -(mp.mpc(c1) + sq) / 2 if mp.re(sq) * c1 >= 0 else -(mp.mpc(c1) - sq) / 2
-            r1 = q / c2
-            r2 = mp.mpc(c0) / q if q != 0 else mp.mpc(0)
-            return [r1, r2]
-    scale = max(abs(c) for c in factor.coeffs)
-    cs = [float(Fraction(c, scale)) for c in factor.coeffs]
-    dcs = [i * c for i, c in enumerate(cs)][1:]
-    radius = 0.5 + 0.7 * max(abs(c / cs[-1]) for c in cs[:-1])
-    start = [radius * cmath.exp(2j * cmath.pi * (k + 0.354) / d + 0.13j) for k in range(d)]
-    warm = _aberth(lambda z: (_horner(cs, z), _horner(dcs, z)), start, 1e-13, 240)
-    with mp.workprec(prec):
-        deriv = factor.derivative()
-        zs = [mp.mpc(z) for z in warm]
-        return _aberth(lambda z: (factor(z), deriv(z)), zs, mp.mpf(2) ** (16 - prec), 120)
+        return [(mp.mpc(mp.ldexp(a, -bits), mp.ldexp(b, -bits)),
+                 mp.inf if w is None else mp.ldexp(mp.hypot(*w), -bits))
+                for (a, b), w in zip(fixed, newton)]
 
 
 def all_roots(
@@ -398,25 +422,14 @@ def all_roots(
 
 
 def _all_roots_at(f: IntPolynomial, precision: float, prec: int):
-    located: list[tuple[object, int, IntPolynomial]] = []
+    located: list[RootApprox] = []
     for factor, mult in squarefree_decomposition(f):
-        for z in _factor_roots(factor, prec):
-            located.append((z, mult, factor))
-    with mp.workprec(prec):
-        located.sort(key=lambda item: (mp.re(item[0]), mp.im(item[0])))
-        out: list[RootApprox] = []
-        for z, mult, factor in located:
-            gz = factor(z)
-            dgz = factor.derivative()(z)
-            if dgz == 0:
-                residual = mp.mpf(0) if gz == 0 else mp.inf
-            else:
-                residual = abs(gz / dgz)
-            if not residual < mp.mpf(precision):
+        for z, residual in _factor_roots(factor, prec):
+            if not residual < precision:
                 return None
-            approx = RootApprox(z, residual, mult)
-            out.extend([approx] * mult)
-        return out
+            located.append(RootApprox(z, residual, mult))
+    located.sort(key=lambda r: (r.value.real, r.value.imag))
+    return [r for r in located for _ in range(r.multiplicity)]
 
 
 # -- derived quantities ------------------------------------------------------

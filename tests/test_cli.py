@@ -167,7 +167,7 @@ def _with_base(argv, tmp_path):
 
 @pytest.mark.parametrize(
     "flag",
-    ["--tol=inf", "--tol=-inf", "--tol=nan", "--precision=52", "--precision=16", "--precision=0", "--precision=-5"],
+    ["--tol=inf", "--tol=-inf", "--tol=nan", "--tol=0", "--tol=-1", "--precision=52", "--precision=16", "--precision=0", "--precision=-5"],
 )
 @pytest.mark.parametrize("argv", _SUBCOMMANDS, ids=lambda argv: argv[0])
 def test_bad_common_flag_rejected_before_work(argv, flag, tmp_path, capsys):
@@ -175,3 +175,15 @@ def test_bad_common_flag_rejected_before_work(argv, flag, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_witness_outside_enclosure_is_rejected(capsys):
+    # at 128 bits the witness cannot resolve a 1e-45 enclosure
+    assert cli.main(["dilatation", "beta", "1", "1", "--tol", "1e-45"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--tol" in err and "--precision" in err
+    assert cli.main(["dilatation", "beta", "1", "1", "--tol", "1e-45", "--precision", "256"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert abs(data["root"]["witness"] - 2.618033989) < 1e-9

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from pabraid.families import Family, FamilyParams, r_matrix, r_poly, transition_matrix
+from pabraid.families import Family, FamilyParams, closed_form_poly, r_matrix, r_poly, transition_matrix
 from pabraid.linalg import IntMatrix, bareiss_determinant, char_poly, is_irreducible, perron_root
 from pabraid.poly import IntPolynomial, SalemBoydSpec, Sign, salem_boyd
 from pabraid.spectral import largest_real_root
@@ -43,6 +43,37 @@ def test_char_poly_agrees_with_bareiss_at_random_points():
                 for i in range(mat.dim)
             ]
             assert cp(x) == bareiss_determinant(shifted)
+
+
+def test_char_poly_agrees_with_bareiss_on_random_dense_matrices():
+    rng = random.Random(20261018)
+    for _ in range(100):
+        d = rng.randint(1, 12)
+        rows = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)]
+        cp = char_poly(IntMatrix(rows))
+        for _ in range(3):
+            x = rng.randint(-20, 20)
+            shifted = [[(x if i == j else 0) - rows[i][j] for j in range(d)] for i in range(d)]
+            assert cp(x) == bareiss_determinant(shifted)
+
+
+@pytest.mark.parametrize("d", [1, 2, 7])
+def test_char_poly_of_zero_and_identity(d):
+    zero = IntMatrix([[0] * d for _ in range(d)])
+    identity = IntMatrix([[int(i == j) for j in range(d)] for i in range(d)])
+    assert char_poly(zero) == IntPolynomial.monomial(1, d)
+    expected = IntPolynomial.one()
+    for _ in range(d):
+        expected = expected * IntPolynomial([-1, 1])
+    assert char_poly(identity) == expected
+
+
+@pytest.mark.parametrize("family", [Family.BETA, Family.SIGMA])
+def test_char_poly_of_66_dimensional_transition_matrix(family):
+    params = FamilyParams(family, 30, 34)
+    mat = transition_matrix(params)
+    assert mat.dim == 66
+    assert char_poly(mat) == closed_form_poly(params)
 
 
 def test_char_poly_block_upper_triangular_is_product():

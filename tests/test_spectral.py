@@ -99,6 +99,37 @@ def test_all_roots_reports_multiplicity_and_residuals():
     assert all(float(r.residual) < 1e-20 for r in roots)
 
 
+def test_all_roots_with_zero_constant_term():
+    roots = all_roots(IntPolynomial([0, -1, 0, 1]))  # t^3 - t
+    values = sorted((complex(r.value) for r in roots), key=lambda z: z.real)
+    assert [v.real for v in values] == pytest.approx([-1.0, 0.0, 1.0], abs=1e-30)
+    assert all(abs(v.imag) <= 1e-30 for v in values)
+    assert all(float(r.residual) < 1e-20 for r in roots)
+
+
+def test_all_roots_with_widely_spread_moduli():
+    f = IntPolynomial([-1000, 1]) * IntPolynomial([-1, 1000]) * IntPolynomial([1, 0, 1])
+    values = sorted((complex(r.value) for r in all_roots(f)), key=lambda z: (z.real, z.imag))
+    expected = [-1j, 1j, 0.001, 1000]
+    assert all(abs(v - e) <= 1e-20 * (1 + abs(e)) for v, e in zip(values, expected))
+
+
+@pytest.mark.parametrize(
+    "m, sign, expected",
+    [
+        (1, Sign.PLUS, 2.0),
+        (1, Sign.MINUS, 2.0),
+        (2, Sign.PLUS, 2.0002750726645053),
+        (2, Sign.MINUS, 1.9997515410686388),
+    ],
+)
+def test_mahler_measure_of_long_combination_is_pinned(m, sign, expected):
+    # exact to the last double: a refinement stopped short of full
+    # precision moves these
+    q = salem_boyd(SalemBoydSpec(r_poly(m), 80, sign))
+    assert float(mahler_measure(q, 1e-10)) == expected
+
+
 def test_all_roots_validation():
     with pytest.raises(ValueError):
         all_roots(IntPolynomial())
