@@ -190,7 +190,7 @@ def _emit_sb_row(row: dict, fmt: str) -> None:
 
 
 def _cmd_verify(args) -> int:
-    report = verify.run_verify(args.depth, args.tol)
+    report = verify.run_verify(args.depth, args.tol, args.precision)
     print(_dumps(report.to_json_data()))
     return EXIT_OK if report.passed == report.total else EXIT_CHECK_FAILED
 

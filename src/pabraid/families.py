@@ -24,7 +24,7 @@ transcription bug.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from mpmath import mp
@@ -261,7 +261,7 @@ def dilatation(
     if kind is not TNKind.PSEUDO_ANOSOV:
         return DilatationResult(params, kind, None, None, None)
     poly = closed_form_poly(params)
-    root = _isolate_above_one(poly, tol, prec)
+    root = largest_real_root(poly, 1, tol, prec)
     provenance = Provenance.CLOSED_FORM
     if cross_validate:
         if linalg.char_poly(transition_matrix(params)) != poly:
@@ -271,19 +271,6 @@ def dilatation(
             )
         provenance = Provenance.BOTH_AGREE
     return DilatationResult(params, kind, poly, root, provenance)
-
-
-def _isolate_above_one(poly: IntPolynomial, tol: float, prec: int) -> RootEnclosure:
-    """Greatest real root above 1, re-isolated if needed so the enclosure
-    lies strictly above 1 (the dilatation itself always does)."""
-    root = largest_real_root(poly, Fraction(1), tol, prec)
-    shrink = tol
-    for _ in range(6):
-        if root.lower > 1:
-            return root
-        shrink /= 100
-        root = largest_real_root(poly, Fraction(1), shrink, prec)
-    raise ArithmeticError("could not separate the enclosure from 1")
 
 
 # -- singularity data ----------------------------------------------------------
@@ -398,8 +385,9 @@ def minimizer(
     times the core polynomial ``t^(2g+1) - 2t^(g+1) - 2t^g + 1``, that the
     core changes sign across the certified enclosure, and that the enclosure
     lies strictly inside ``((2+sqrt 3)^(1/(g+1)), (2+sqrt 3)^(1/g))`` by exact
-    rational arithmetic.  Also reports the residual of the core polynomial and
-    of the identity ``x^(g+1) = x + 1 + sqrt(x^2 + x + 1)`` at the witness.
+    rational arithmetic (re-isolating at most three times, at ``tol / 100``
+    each time).  Also reports the residual of the core polynomial and of the
+    identity ``x^(g+1) = x + 1 + sqrt(x^2 + x + 1)`` at the witness.
 
     ``cross_validate=None`` enables the transition-matrix check only for
     small ``g``, where the exact characteristic polynomial is cheap; the
@@ -412,8 +400,7 @@ def minimizer(
     params = FamilyParams(Family.SIGMA, g - 1, g + 1)
     core = _core_poly(g)
 
-    current_tol = tol
-    result = dilatation(params, current_tol, prec, cross_validate)
+    result = dilatation(params, tol, prec, cross_validate)
     if result.defining_poly != core * IntPolynomial([-1, 1]):
         raise OracleMismatchError("closed form does not factor as (t-1) * core polynomial")
     lower_ok = _certifies_lower_bound(result.root.lower, g)
@@ -421,8 +408,8 @@ def minimizer(
     for _ in range(3):
         if lower_ok and upper_ok:
             break
-        current_tol /= 100
-        result = dilatation(params, current_tol, prec, cross_validate=False)
+        tol /= 100
+        result = replace(result, root=largest_real_root(result.defining_poly, 1, tol, prec))
         lower_ok = _certifies_lower_bound(result.root.lower, g)
         upper_ok = _certifies_upper_bound(result.root.upper, g)
 

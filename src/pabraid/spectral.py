@@ -5,9 +5,9 @@ measure and the unit-circle census.
 Two independent routes coexist deliberately and must stay independent:
 
 * :func:`largest_real_root` is exact.  It isolates the greatest real root
-  above a floor with a Sturm chain over the integers and bisection on
-  rational endpoints, so the returned enclosure is certified by exact sign
-  evaluations.  Floating point only ever touches the reported witness.
+  above a floor by Descartes' rule of signs over the integers and bisection
+  on rational endpoints, so the returned enclosure is certified by exact
+  sign evaluations.  Floating point only ever touches the reported witness.
 
 * :func:`all_roots` is numeric.  It runs Aberth-Ehrlich simultaneous
   iteration, after an exact squarefree decomposition so that repeated roots
@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from mpmath import mp
@@ -118,7 +119,13 @@ class RootApprox:
     multiplicity: int
 
 
-# -- Sturm machinery --------------------------------------------------------
+# -- exact counts --------------------------------------------------------------
+
+
+def _sign_changes(values: Sequence[int]) -> int:
+    """Sign changes along ``values``, zeros skipped."""
+    signs = [v > 0 for v in values if v]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def sturm_chain(g: IntPolynomial) -> list[IntPolynomial]:
@@ -144,17 +151,39 @@ def sturm_chain(g: IntPolynomial) -> list[IntPolynomial]:
     return chain
 
 
-def _variations(chain: Sequence[IntPolynomial], x: Fraction) -> int:
-    signs = [s for s in (p.sign_at(x) for p in chain) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
 def count_roots_between(chain: Sequence[IntPolynomial], a: Fraction, b: Fraction) -> int:
     """Distinct real roots of ``chain[0]`` in the open interval ``(a, b)``.
 
     Both endpoints must be non-roots of ``chain[0]``.
     """
-    return _variations(chain, a) - _variations(chain, b)
+    return _sign_changes([p.sign_at(a) for p in chain]) - _sign_changes([p.sign_at(b) for p in chain])
+
+
+def _taylor_shift(cs: Sequence[int], a: int) -> list[int]:
+    """Ascending coefficients of ``p(t + a)`` from those of ``p(t)``."""
+    out = list(cs)
+    for i in range(len(out) - 1):
+        for j in range(len(out) - 2, i - 1, -1):
+            out[j] += a * out[j + 1]
+    return out
+
+
+def _descartes(g: IntPolynomial, lo: Fraction, hi: Fraction) -> int:
+    """Sign changes of ``(1 + t)^d g((lo + hi t) / (1 + t))``, ``d = deg g``:
+    by Descartes' rule a bound on the roots of ``g`` in ``(lo, hi)``, counted
+    with multiplicity, of the same parity, so exact at 0 and 1.  With
+    ``lo = a/c`` and ``hi - lo = e/c``, ``c^d g(lo + (hi - lo) x)`` is
+    ``h(a + e x)``; reversed and shifted by one it is that polynomial, reversed.
+    """
+    d = g.degree
+    c = lcm(lo.denominator, hi.denominator)
+    a, e = int(lo * c), int((hi - lo) * c)
+    h = [gi * c ** (d - i) for i, gi in enumerate(g.coeffs)]
+    q = [k * e**i for i, k in enumerate(_taylor_shift(h, a))]
+    return _sign_changes(_taylor_shift(q[::-1], 1))
+
+
+# -- exact isolation -----------------------------------------------------------
 
 
 def _divide_out_rational_root(g: IntPolynomial, r: Fraction) -> IntPolynomial:
@@ -198,14 +227,19 @@ def largest_real_root(
     """Certified enclosure of the greatest real root of ``f`` strictly above
     ``floor`` (or the greatest real root overall when ``floor`` is None).
 
-    The root is isolated by Sturm counts on the squarefree part, bracketed
-    inside ``[floor, B]`` with ``B`` the Cauchy bound ``1 + max|c_i/c_d|``,
-    and narrowed to width <= ``tol`` by bisection with rational endpoints.
-    ``certified`` is True when ``f`` itself changes sign across the final
-    endpoints under exact evaluation.
+    Descartes counts (:func:`_descartes`) on dyadic subintervals of
+    ``(floor, B)``, with ``B`` the Cauchy bound ``1 + max|c_i/c_d|``, isolate
+    the root; the squarefree part of ``f`` is taken only when the first count
+    exceeds 1.  Sign bisection with rational endpoints then narrows it to the
+    first dyadic subinterval of width <= ``tol`` whose lower endpoint is not
+    a root of ``f``, or to ``root +/- delta`` when a midpoint is the root.
+    When a floor is given the enclosure lies strictly above it: while the
+    lower endpoint is the floor, ``tol`` is divided by 100 (in floats) and
+    bisection goes on.  ``certified`` is True when ``f`` itself changes sign
+    across the endpoints under exact evaluation.
 
-    Raises :class:`NoRealRootError` when the Sturm count above the floor is
-    zero.
+    Raises :class:`NoRealRootError` when there is no real root above the
+    floor.
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no roots")
@@ -219,83 +253,60 @@ def largest_real_root(
     if floor_frac >= bound:
         raise NoRealRootError(f"no real root above {floor_frac} (Cauchy bound {bound})")
 
-    g = squarefree_part(f)
-    while g.sign_at(floor_frac) == 0:
-        g = _divide_out_rational_root(g, floor_frac)
-        if g.degree is None or g.degree == 0:
-            raise NoRealRootError(f"no real root above {floor_frac}")
-    chain = sturm_chain(g)
-    total = count_roots_between(chain, floor_frac, bound)
-    if total <= 0:
-        raise NoRealRootError(f"no real root above {floor_frac}")
-
     lo, hi = floor_frac, bound
-    above_lo = total
-    # Sturm phase: shrink (lo, hi] until it contains exactly the greatest root
-    # and lo is not itself a root.
-    for _ in range(20000):
-        if above_lo == 1 and g.sign_at(lo) != 0:
-            break
-        mid = (lo + hi) / 2
-        if g.sign_at(mid) == 0:
-            reduced = _divide_out_rational_root(g, mid)
-            above_mid = 0
-            if reduced.degree is not None and reduced.degree >= 1:
-                above_mid = count_roots_between(sturm_chain(reduced), mid, bound)
-            if above_mid == 0:
-                return _exact_root_enclosure(f, g, reduced, mid, floor_frac, tolf, prec)
-            lo, above_lo = mid, above_mid
-        else:
-            above_mid = count_roots_between(chain, mid, bound)
-            if above_mid == 0:
+    sqf = f
+    count = _descartes(f, lo, hi)
+    if count > 1:  # a multiple root counts at least twice, so go squarefree
+        sqf = squarefree_part(f)
+        count = _descartes(sqf, lo, hi)
+    # Vincent-Collins-Akritas bisection, upper halves first: the first
+    # interval with one sign change holds the greatest root.  A rational root
+    # r met at a midpoint is divided out of g and stacked as (r, r).
+    g, stack, pinned = sqf, [], None
+    while count != 1:
+        if count > 1:
+            mid = (lo + hi) / 2
+            stack.append((lo, mid))
+            if g.sign_at(mid) == 0:
+                g, pinned = _divide_out_rational_root(g, mid), mid
+                stack.append((mid, mid))
+            stack.append((mid, hi))
+        if not stack:
+            raise NoRealRootError(f"no real root above {floor_frac}")
+        lo, hi = stack.pop()
+        count = 1 if lo == hi else _descartes(g, lo, hi)
+
+    # g has one simple root in (lo, hi) and none at hi, or lo == hi is the
+    # root.  The rational root met last (pinned) or the floor may sit at lo,
+    # and neither may bound the enclosure.
+    sign_hi = g.sign_at(hi)
+    while lo < hi:
+        if hi - lo > tolf or lo == pinned:
+            mid = (lo + hi) / 2
+            s = g.sign_at(mid)
+            if s == sign_hi:
                 hi = mid
+            elif s:
+                lo = mid
             else:
-                lo, above_lo = mid, above_mid
-    else:
-        raise ArithmeticError("root isolation did not terminate")
-
-    # Sign phase: one simple root of g in (lo, hi), so plain sign bisection.
-    sign_lo = g.sign_at(lo)
-    while hi - lo > tolf:
-        mid = (lo + hi) / 2
-        s = g.sign_at(mid)
-        if s == 0:
-            reduced = _divide_out_rational_root(g, mid)
-            return _exact_root_enclosure(f, g, reduced, mid, floor_frac, tolf, prec)
-        if s == sign_lo:
-            lo = mid
+                lo = hi = mid
+        elif lo == floor:  # never for floor None
+            tolf = Fraction(float(tolf) / 100) or tolf / 100
         else:
-            hi = mid
-    certified = f.sign_at(lo) * f.sign_at(hi) < 0
-    return RootEnclosure(lo, hi, _polish_witness(f, lo, hi, prec), certified)
+            certified = f.sign_at(lo) * f.sign_at(hi) < 0
+            return RootEnclosure(lo, hi, _polish_witness(f, lo, hi, prec), certified)
 
-
-def _exact_root_enclosure(
-    f: IntPolynomial,
-    g: IntPolynomial,
-    g_reduced: IntPolynomial,
-    root: Fraction,
-    floor_frac: Fraction,
-    tolf: Fraction,
-    prec: int,
-) -> RootEnclosure:
-    """Enclosure construction when bisection lands exactly on a rational root."""
-    sibling_chain = None
-    if g_reduced.degree is not None and g_reduced.degree >= 1:
-        sibling_chain = sturm_chain(g_reduced)
-    delta = tolf / 2
-    if root - floor_frac < delta * 2 and root - floor_frac > 0:
+    # Enclose the rational root: halve delta until no other root of sqf is near.
+    root, delta = lo, tolf / 2
+    if root - floor_frac < tolf:
         delta = (root - floor_frac) / 4
-    for _ in range(200):
+    rest = _divide_out_rational_root(sqf, root)
+    while True:
         lo, hi = root - delta, root + delta
-        clear = True
-        if sibling_chain is not None and count_roots_between(sibling_chain, lo, hi) > 0:
-            clear = False
-        if clear and g.sign_at(lo) * g.sign_at(hi) < 0:
+        if _descartes(rest, lo, hi) == 0 and sqf.sign_at(lo) * sqf.sign_at(hi) < 0:
             certified = f.sign_at(lo) * f.sign_at(hi) < 0
             return RootEnclosure(lo, hi, to_witness(root, prec), certified)
         delta /= 2
-    raise ArithmeticError("could not certify an interval around an exact rational root")
 
 
 # -- simultaneous iteration --------------------------------------------------

@@ -83,11 +83,12 @@ _DEPTHS = {
 
 
 class _Session:
-    """One verify run: fixed tolerance, memoised dilatations."""
+    """One verify run: fixed tolerance and precision, memoised dilatations."""
 
-    def __init__(self, bounds: _Bounds, tol: float):
+    def __init__(self, bounds: _Bounds, tol: float, prec: int = spectral.DEFAULT_PREC_BITS):
         self.bounds = bounds
         self.tol = tol
+        self.prec = prec
         self.rng = random.Random(_SEED)
         self._dilatations: dict[tuple[Family, int, int], families.DilatationResult] = {}
 
@@ -95,7 +96,7 @@ class _Session:
         key = (family, m, n)
         if key not in self._dilatations:
             self._dilatations[key] = families.dilatation(
-                FamilyParams(family, m, n), self.tol, cross_validate=False
+                FamilyParams(family, m, n), self.tol, self.prec, cross_validate=False
             )
         return self._dilatations[key]
 
@@ -245,8 +246,8 @@ def _check_perron_agreement(s: _Session) -> CheckResult:
     ok = True
     worst = None
     for m in range(1, s.bounds.rm + 1):
-        pr = linalg.perron_root(families.r_matrix(m), s.tol)
-        rr = spectral.largest_real_root(families.r_poly(m), Fraction(1), s.tol)
+        pr = linalg.perron_root(families.r_matrix(m), s.tol, s.prec)
+        rr = spectral.largest_real_root(families.r_poly(m), Fraction(1), s.tol, s.prec)
         gap = abs(float(pr.midpoint - rr.midpoint))
         slack = 2 * s.tol - gap
         worst = slack if worst is None else min(worst, slack)
@@ -339,7 +340,7 @@ def _check_min_equality_case(s: _Session) -> CheckResult:
     shared = poly_gcd(beta_poly, sigma_poly)
     ok = shared.degree is not None and shared.degree >= 1
     if ok:
-        enc = spectral.largest_real_root(shared, Fraction(1), s.tol)
+        enc = spectral.largest_real_root(shared, Fraction(1), s.tol, s.prec)
         bound = Fraction(10)
         for f in (beta_poly, sigma_poly):
             chain = spectral.sturm_chain(squarefree_part(f))
@@ -412,7 +413,7 @@ def _check_core_root_monotone(s: _Session) -> CheckResult:
     worst = None
     prev = None
     for m in range(1, 14):
-        enc = spectral.largest_real_root(families.r_poly(m), Fraction(1), s.tol)
+        enc = spectral.largest_real_root(families.r_poly(m), Fraction(1), s.tol, s.prec)
         if prev is not None:
             margin = _disjoint_below(enc, prev)
             worst = margin if worst is None else min(worst, margin)
@@ -425,7 +426,7 @@ def _check_minimizer_bounds(s: _Session) -> CheckResult:
     ok = True
     worst = None
     for g in range(2, s.bounds.g + 1):
-        report = families.minimizer(g, s.tol)
+        report = families.minimizer(g, s.tol, s.prec)
         ok &= report.lower_bound_ok and report.upper_bound_ok and report.core_sign_change_ok
         slack = 1e-8 - max(report.core_residual, report.power_identity_residual)
         worst = slack if worst is None else min(worst, slack)
@@ -484,10 +485,10 @@ _CHECKS = [
 ]
 
 
-def run_verify(depth: str = "quick", tol: float = 1e-9) -> VerifyReport:
-    """Run every registered check at the given depth."""
+def run_verify(depth: str = "quick", tol: float = 1e-9, prec: int = spectral.DEFAULT_PREC_BITS) -> VerifyReport:
+    """Run every registered check at the given depth, tolerance and witness precision."""
     if depth not in _DEPTHS:
         raise ValueError(f"depth must be one of {sorted(_DEPTHS)}")
-    session = _Session(_DEPTHS[depth], tol)
+    session = _Session(_DEPTHS[depth], tol, prec)
     results = [check(session) for check in _CHECKS]
     return VerifyReport(depth, results)

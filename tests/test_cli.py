@@ -1,8 +1,10 @@
 """End-to-end command-line behaviour: formats, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,11 +12,13 @@ from pabraid import cli
 
 
 def run_cli(*args):
+    # the child imports the same package as this process, installed or not
     return subprocess.run(
         [sys.executable, "-m", "pabraid", *args],
         capture_output=True,
         text=True,
         timeout=300,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
     )
 
 
@@ -128,6 +132,20 @@ def test_verify_quick_passes_with_enough_checks():
     ids = {c["id"] for c in report["checks"]}
     assert len(ids) >= 12
     assert all(c["passed"] for c in report["checks"])
+
+
+def test_verify_honours_precision(capsys):
+    # a 1e-45 enclosure needs more than the default 128-bit witness
+    assert cli.main(["verify", "--tol", "1e-45", "--precision", "256"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["summary"] == {"passed": 24, "total": 24}
+
+
+def test_dilatation_at_coarse_tol_is_pinned(capsys):
+    # the enclosure at tol 0.5 starts at 1, so it is narrowed at tol 0.005
+    assert cli.main(["dilatation", "beta", "4", "8", "--tol", "0.5"]) == 0
+    root = json.loads(capsys.readouterr().out)["root"]
+    assert (root["lower"], root["upper"]) == ("381/256", "191/128")
 
 
 def test_horseshoe_known_code():

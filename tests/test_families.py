@@ -25,7 +25,7 @@ from pabraid.families import (
     transition_matrix,
 )
 from pabraid.linalg import IntMatrix, char_poly
-from pabraid.poly import IntPolynomial, poly_gcd, squarefree_part
+from pabraid.poly import IntPolynomial, cauchy_root_bound, poly_gcd, squarefree_part
 from pabraid.spectral import count_roots_between, largest_real_root, sturm_chain
 
 
@@ -113,6 +113,25 @@ def test_equal_dilatation_pair_shares_essential_factor():
         chain = sturm_chain(squarefree_part(f))
         assert count_roots_between(chain, enc.upper, Fraction(10)) == 0
         assert count_roots_between(chain, enc.lower, enc.upper) == 1
+
+
+def test_dilatation_enclosure_is_first_dyadic_interval_at_tol():
+    tol = Fraction(1e-9)
+    for family in Family:
+        for m in range(1, 13):
+            for n in range(1, 13):
+                p = FamilyParams(family, m, n)
+                if classify(p) is not TNKind.PSEUDO_ANOSOV:
+                    continue
+                res = dilatation(p, 1e-9, cross_validate=False)
+                f, root = res.defining_poly, res.root
+                width = cauchy_root_bound(f) - 1
+                while width > tol:
+                    width /= 2
+                assert root.width == width
+                assert ((root.lower - 1) / width).denominator == 1
+                assert root.lower > 1
+                assert f.sign_at(root.lower) * f.sign_at(root.upper) < 0
 
 
 def test_transition_matrix_beta_1_1_explicit():
@@ -302,6 +321,14 @@ def test_minimizer_g2_is_quartic_anchor_with_bounds():
 def test_minimizer_g5_log_anchor():
     report = minimizer(5)
     assert abs(math.log(float(report.result.root.witness)) - 0.240965) <= 1e-6
+
+
+def test_minimizer_tightening_keeps_provenance():
+    # at tol 0.1 the first enclosure is too wide to certify the bounds
+    report = minimizer(5, tol=0.1)
+    assert report.lower_bound_ok and report.upper_bound_ok
+    assert report.result.root.width == Fraction(1, 1024)
+    assert report.result.provenance is Provenance.BOTH_AGREE
 
 
 def test_minimizer_residuals_tiny():

@@ -1,13 +1,14 @@
 """Certified root enclosures, full root sets, Mahler measure, circle census."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
 from pabraid.families import r_poly
-from pabraid.poly import IntPolynomial, SalemBoydSpec, Sign, salem_boyd, squarefree_part
+from pabraid.poly import IntPolynomial, SalemBoydSpec, Sign, cauchy_root_bound, salem_boyd, squarefree_part
 from pabraid.spectral import (
     NoRealRootError,
     all_roots,
@@ -49,6 +50,9 @@ def test_largest_real_root_hits_exact_rational_root():
     enc = largest_real_root(R1, Fraction(1), 1e-9)
     assert enc.lower < 2 < enc.upper
     assert enc.certified
+    # root 0 is the first midpoint; the roots -1/4 and -3/4 halve delta to 1/8
+    enc = largest_real_root(IntPolynomial([0, 3, 16, 16]), None, 2.0)
+    assert (enc.lower, enc.upper) == (Fraction(-1, 8), Fraction(1, 8))
 
 
 def test_largest_real_root_zhirov_anchor():
@@ -65,6 +69,14 @@ def test_largest_real_root_reports_absence():
         largest_real_root(R1, Fraction(2), 1e-9)  # nothing strictly above 2
 
 
+def test_largest_real_root_lower_end_passes_a_rational_root():
+    # roots 0 and 3/16: the midpoint 0 is met first, and at width 19/64 the
+    # interval would still start at it, so bisection goes one level deeper
+    enc = largest_real_root(IntPolynomial([0, -3, 16]), None, 0.3)
+    assert (enc.lower, enc.upper) == (Fraction(19, 128), Fraction(19, 64))
+    assert enc.certified
+
+
 def test_largest_real_root_floor_none_finds_greatest_overall():
     f = IntPolynomial([1, 1]) * IntPolynomial([3, 1])  # roots -1, -3
     enc = largest_real_root(f, None, 1e-9)
@@ -76,6 +88,37 @@ def test_largest_real_root_input_validation():
         largest_real_root(IntPolynomial(), Fraction(0), 1e-9)
     with pytest.raises(ValueError):
         largest_real_root(T11, Fraction(1), -1.0)
+
+
+def _isolation_corpus(rng):
+    for _ in range(100):
+        deg = rng.randint(1, 12)
+        yield IntPolynomial([rng.randint(-9, 9) for _ in range(deg)] + [rng.choice([-3, -2, -1, 1, 2, 3])])
+    for _ in range(100):  # rational roots, some of them double
+        f = IntPolynomial([1])
+        for _ in range(rng.randint(1, 5)):
+            linear = IntPolynomial([rng.randint(-12, 12), rng.randint(1, 4)])
+            f = f * linear * (linear if rng.random() < 0.3 else IntPolynomial([1]))
+        yield f
+
+
+def test_largest_real_root_agrees_with_sturm_count():
+    rng = random.Random(20261018)
+    for f in _isolation_corpus(rng):
+        chain = sturm_chain(squarefree_part(f))
+        bound = cauchy_root_bound(f)
+        for floor in (None, 0, 1, -1, Fraction(1, 2)):
+            tol = rng.choice([1e-9, 1e-3, 0.3, 2.0])
+            lowest = -bound if floor is None else Fraction(floor)
+            if count_roots_between(chain, lowest, bound) == 0:
+                with pytest.raises(NoRealRootError):
+                    largest_real_root(f, floor, tol)
+                continue
+            enc = largest_real_root(f, floor, tol)
+            assert f.sign_at(enc.lower) != 0 and f.sign_at(enc.upper) != 0
+            assert count_roots_between(chain, enc.lower, enc.upper) == 1
+            assert count_roots_between(chain, enc.upper, bound) == 0
+            assert floor is None or enc.lower > floor
 
 
 def test_all_roots_simple_cases():
