@@ -376,7 +376,6 @@ def minimizer(
     g: int,
     tol: float = 1e-9,
     prec: int = DEFAULT_PREC_BITS,
-    cross_validate: bool | None = None,
 ) -> MinimizerReport:
     """Dilatation of the minimal family member for ``m + n = 2g`` (the sigma
     member with parameters ``(g-1, g+1)``), with certificates.
@@ -389,18 +388,16 @@ def minimizer(
     each time).  Also reports the residual of the core polynomial and of the
     identity ``x^(g+1) = x + 1 + sqrt(x^2 + x + 1)`` at the witness.
 
-    ``cross_validate=None`` enables the transition-matrix check only for
-    small ``g``, where the exact characteristic polynomial is cheap; the
-    matrix route is exercised exhaustively elsewhere.
+    The transition-matrix cross-check runs only for ``g <= 8``, where the
+    exact characteristic polynomial is cheap; the matrix route is exercised
+    exhaustively elsewhere.
     """
     if not isinstance(g, int) or g < 2:
         raise ValueError("minimizer requires an integer g >= 2")
-    if cross_validate is None:
-        cross_validate = g <= 8
     params = FamilyParams(Family.SIGMA, g - 1, g + 1)
     core = _core_poly(g)
 
-    result = dilatation(params, tol, prec, cross_validate)
+    result = dilatation(params, tol, prec, cross_validate=g <= 8)
     if result.defining_poly != core * IntPolynomial([-1, 1]):
         raise OracleMismatchError("closed form does not factor as (t-1) * core polynomial")
     lower_ok = _certifies_lower_bound(result.root.lower, g)

@@ -190,28 +190,38 @@ def _divide_out_rational_root(g: IntPolynomial, r: Fraction) -> IntPolynomial:
     return g.divexact(IntPolynomial([-r.numerator, r.denominator]))
 
 
-def _polish_witness(f: IntPolynomial, lo: Fraction, hi: Fraction, prec: int):
-    """Newton refinement of the enclosure midpoint, reported at ``prec`` bits.
+def _polish_witness(g: IntPolynomial, lo: Fraction, hi: Fraction, sign_hi: int, prec: int):
+    """The witness for ``(lo, hi)``: bracketed Newton iteration from the
+    midpoint at ``prec + 16`` bits, reported at ``prec`` bits.
 
-    Only the printed witness depends on this; the certificate is the exact
-    interval.  If Newton leaves the interval the midpoint is returned.
+    ``g`` has one simple root in ``(lo, hi)`` and the exact sign ``sign_hi``
+    at ``hi``.  The bracket starts as the enclosure and keeps, at each
+    iterate, the side where ``g`` changes sign; a Newton step that leaves it
+    is replaced by the bracket's midpoint, and the cap lets bisection alone
+    narrow the enclosure to ``2^-(prec+16)``.  Only the printed witness
+    depends on this; the certificate is the exact interval.
     """
+    width = hi - lo
+    cap = prec + 16 + max(0, width.numerator.bit_length() - width.denominator.bit_length() + 1)
     with mp.workprec(prec + 16):
-        lo_f = to_witness(lo, prec + 16)
-        hi_f = to_witness(hi, prec + 16)
-        x = (lo_f + hi_f) / 2
-        deriv = f.derivative()
+        a = to_witness(lo, prec + 16)
+        b = to_witness(hi, prec + 16)
+        x = (a + b) / 2
+        deriv = g.derivative()
         eps = mp.mpf(2) ** (8 - prec)
-        for _ in range(80):
-            fx = f(x)
+        for _ in range(cap):
+            gx = g(x)
+            if not gx:
+                break
+            if (gx > 0) == (sign_hi > 0):
+                b = x
+            else:
+                a = x
             dfx = deriv(x)
-            if dfx == 0:
-                break
-            step = fx / dfx
-            nxt = x - step
-            if not (lo_f <= nxt <= hi_f):
-                break
-            x = nxt
+            step = gx / dfx if dfx else x - (a + b) / 2
+            if not a <= x - step <= b:
+                step = x - (a + b) / 2
+            x -= step
             if abs(step) <= eps * (1 + abs(x)):
                 break
         with mp.workprec(prec):
@@ -294,7 +304,7 @@ def largest_real_root(
             tolf = Fraction(float(tolf) / 100) or tolf / 100
         else:
             certified = f.sign_at(lo) * f.sign_at(hi) < 0
-            return RootEnclosure(lo, hi, _polish_witness(f, lo, hi, prec), certified)
+            return RootEnclosure(lo, hi, _polish_witness(g, lo, hi, sign_hi, prec), certified)
 
     # Enclose the rational root: halve delta until no other root of sqf is near.
     root, delta = lo, tolf / 2

@@ -11,18 +11,19 @@ import pytest
 from pabraid import cli
 
 
-def run_cli(*args):
-    # the child imports the same package as this process, installed or not
-    return subprocess.run(
-        [sys.executable, "-m", "pabraid", *args],
-        capture_output=True,
-        text=True,
-        timeout=300,
-        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
-    )
+@pytest.fixture
+def run_cli(capsys):
+    """Run ``cli.main`` in this process; the result reads like a finished subprocess."""
+
+    def run(*args):
+        code = cli.main(list(args))
+        out, err = capsys.readouterr()
+        return subprocess.CompletedProcess(args, code, out, err)
+
+    return run
 
 
-def test_dilatation_json_anchor():
+def test_dilatation_json_anchor(run_cli):
     proc = run_cli("dilatation", "sigma", "1", "3")
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
@@ -34,7 +35,7 @@ def test_dilatation_json_anchor():
     assert "/" in data["root"]["lower"] or data["root"]["lower"].lstrip("-").isdigit()
 
 
-def test_dilatation_periodic_has_no_root():
+def test_dilatation_periodic_has_no_root(run_cli):
     proc = run_cli("dilatation", "sigma", "2", "2")
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
@@ -42,26 +43,38 @@ def test_dilatation_periodic_has_no_root():
     assert data["root"] is None and data["poly"] is None
 
 
-def test_dilatation_beta_1_1():
+def test_dilatation_beta_1_1(run_cli):
     proc = run_cli("dilatation", "beta", "1", "1")
     data = json.loads(proc.stdout)
     assert abs(data["root"]["witness"] - 2.6180339887) < 1e-9
 
 
-def test_dilatation_rejects_bad_params():
+def test_dilatation_rejects_bad_params(run_cli):
     proc = run_cli("dilatation", "beta", "0", "1")
     assert proc.returncode == 2
     assert "error" in proc.stderr
 
 
 def test_deterministic_output():
-    first = run_cli("dilatation", "sigma", "1", "4")
-    second = run_cli("dilatation", "sigma", "1", "4")
+    # two fresh interpreters (each with its own hash seed) running
+    # ``python -m pabraid`` on the package this process imports
+    def run_module(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "pabraid", *args],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        )
+
+    first = run_module("dilatation", "sigma", "1", "4")
+    second = run_module("dilatation", "sigma", "1", "4")
+    assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.strip()
 
 
-def test_table_csv_classification_cells():
+def test_table_csv_classification_cells(run_cli):
     proc = run_cli("table", "sigma", "1..3", "1..8", "--csv")
     assert proc.returncode == 0
     lines = proc.stdout.strip().splitlines()
@@ -77,25 +90,25 @@ def test_table_csv_classification_cells():
     assert lambdas[(1, 1)] == "" and lambdas[(1, 3)] != ""
 
 
-def test_table_row_monotone_for_beta():
+def test_table_row_monotone_for_beta(run_cli):
     proc = run_cli("table", "beta", "1..1", "1..3", "--csv")
     rows = [line.split(",") for line in proc.stdout.strip().splitlines()[1:]]
     values = [float(r[4]) for r in rows]
     assert values[0] > values[1] > values[2]
 
 
-def test_table_empty_range_header_only():
+def test_table_empty_range_header_only(run_cli):
     proc = run_cli("table", "beta", "5..3", "1..2", "--csv")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "family,m,n,class,lambda,log_lambda"
 
 
-def test_table_malformed_range():
+def test_table_malformed_range(run_cli):
     proc = run_cli("table", "beta", "1-3", "1..2")
     assert proc.returncode == 2
 
 
-def test_salem_boyd_sweep(tmp_path):
+def test_salem_boyd_sweep(run_cli, tmp_path):
     poly_file = tmp_path / "base.txt"
     poly_file.write_text("-2,-1,1\n")
     proc = run_cli("salem-boyd", str(poly_file), "20", "--sign", "plus", "--csv")
@@ -112,19 +125,19 @@ def test_salem_boyd_sweep(tmp_path):
     assert all(int(r[3]) <= 1 for r in rows if r[3] != "")
 
 
-def test_salem_boyd_rejects_non_monic(tmp_path):
+def test_salem_boyd_rejects_non_monic(run_cli, tmp_path):
     poly_file = tmp_path / "bad.txt"
     poly_file.write_text("-2,-1,3")
     proc = run_cli("salem-boyd", str(poly_file), "4")
     assert proc.returncode == 2
 
 
-def test_salem_boyd_missing_file():
+def test_salem_boyd_missing_file(run_cli):
     proc = run_cli("salem-boyd", "/nonexistent/base.txt", "4")
     assert proc.returncode == 2
 
 
-def test_verify_quick_passes_with_enough_checks():
+def test_verify_quick_passes_with_enough_checks(run_cli):
     proc = run_cli("verify", "--depth", "quick")
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
@@ -148,7 +161,7 @@ def test_dilatation_at_coarse_tol_is_pinned(capsys):
     assert (root["lower"], root["upper"]) == ("381/256", "191/128")
 
 
-def test_horseshoe_known_code():
+def test_horseshoe_known_code(run_cli):
     proc = run_cli("horseshoe", "10010")
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
@@ -157,13 +170,13 @@ def test_horseshoe_known_code():
     assert abs(data["lambda"] - 1.72208) < 1e-4
 
 
-def test_horseshoe_unmatched_codes():
+def test_horseshoe_unmatched_codes(run_cli):
     for code in ("10010110", "0"):
         data = json.loads(run_cli("horseshoe", code).stdout)
         assert data["family"] is None and data["lambda"] is None
 
 
-def test_horseshoe_rejects_non_binary():
+def test_horseshoe_rejects_non_binary(run_cli):
     proc = run_cli("horseshoe", "10a1")
     assert proc.returncode == 2
 
@@ -205,3 +218,10 @@ def test_witness_outside_enclosure_is_rejected(capsys):
     assert cli.main(["dilatation", "beta", "1", "1", "--tol", "1e-45", "--precision", "256"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert abs(data["root"]["witness"] - 2.618033989) < 1e-9
+
+
+def test_argparse_rejects_unknown_family(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["dilatation", "gamma", "1", "1"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err

@@ -134,6 +134,24 @@ def test_dilatation_enclosure_is_first_dyadic_interval_at_tol():
                 assert f.sign_at(root.lower) * f.sign_at(root.upper) < 0
 
 
+@pytest.mark.parametrize("tol", [0.5, 0.1, 1e-3])
+def test_witness_changes_sign_at_coarse_tol(tol):
+    # a Newton step that leaves the enclosure must not leave the midpoint
+    # as the witness: f changes sign across w +/- 2^-100 for every member
+    delta = Fraction(1, 2**100)
+    for family in Family:
+        for m in range(1, 13):
+            for n in range(1, 13):
+                p = FamilyParams(family, m, n)
+                if classify(p) is not TNKind.PSEUDO_ANOSOV:
+                    continue
+                res = dilatation(p, tol, cross_validate=False)
+                man, exp = res.root.witness.man_exp
+                w = Fraction(man) * Fraction(2) ** exp  # the witness is above 1
+                f = res.defining_poly
+                assert f.sign_at(w - delta) * f.sign_at(w + delta) < 0, (p, tol)
+
+
 def test_transition_matrix_beta_1_1_explicit():
     mat = transition_matrix(beta(1, 1))
     assert mat == IntMatrix([[0, 2, 1, 1], [1, 1, 2, 0], [0, 1, 0, 0], [0, 0, -1, 0]])
@@ -226,9 +244,10 @@ def test_matrix_oracle_demands_exact_equality(monkeypatch):
 def test_verify_matrix_oracle_demands_exact_equality(monkeypatch):
     real = linalg.char_poly
     monkeypatch.setattr(linalg, "char_poly", lambda mat: real(mat) * IntPolynomial([2, 1]))
-    result = verify._check_matrix_oracle(verify._Session(verify._DEPTHS["quick"], 1e-9))
-    assert not result.passed
-    assert result.worst_margin == -1.0
+    session = verify._Session(verify._DEPTHS["quick"], 1e-9)
+    passed, worst_margin = verify._fold(verify._matrix_oracle(session))
+    assert not passed
+    assert worst_margin == -1.0
 
 
 def test_dilatation_non_pa_has_no_root():

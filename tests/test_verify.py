@@ -1,0 +1,66 @@
+"""The verdict rule of the self-verification suite, and the suite at full depth."""
+
+from dataclasses import replace
+from fractions import Fraction
+
+from pabraid import families, verify
+from pabraid.spectral import RootEnclosure, to_witness
+
+
+def _enclosure(lower, upper):
+    lower, upper = Fraction(lower), Fraction(upper)
+    return RootEnclosure(lower, upper, to_witness((lower + upper) / 2), True)
+
+
+def test_touching_enclosures_fail_with_margin_zero():
+    assert verify._fold([verify._below(_enclosure(1, 2), _enclosure(2, 3))]) == (False, 0.0)
+    assert verify._fold([verify._below(_enclosure(1, 2), _enclosure("9/4", 3))]) == (True, 0.25)
+    assert verify._fold([verify._below(_enclosure(1, 3), _enclosure(2, 4))]) == (False, -1.0)
+
+
+def test_zero_slack_passes():
+    assert verify._fold([verify._slack(0.0)]) == (True, 0.0)
+    assert verify._fold([verify._slack(1e-8), verify._slack(-1e-300)]) == (False, -1e-300)
+
+
+def test_exact_failure_reports_minus_one():
+    assert verify._fold([verify._exact(True), verify._exact(False), verify._exact(True)]) == (False, -1.0)
+    assert verify._fold([verify._exact(True)] * 3) == (True, 0.0)
+
+
+def test_empty_sweep_passes_with_zero():
+    assert verify._fold([]) == (True, 0.0)
+    assert verify._fold(iter(())) == (True, 0.0)
+
+
+def test_fold_consumes_the_whole_sweep():
+    seen = []
+
+    def sweep():
+        for slack in (-1.0, 2.0, -3.0, 0.5):
+            seen.append(slack)
+            yield verify._slack(slack)
+
+    assert verify._fold(sweep()) == (False, -3.0)
+    assert seen == [-1.0, 2.0, -3.0, 0.5]
+
+
+def test_failed_minimizer_certificate_fails_with_positive_slack(monkeypatch):
+    real = families.minimizer
+    monkeypatch.setattr(families, "minimizer", lambda *args: replace(real(*args), lower_bound_ok=False))
+    session = verify._Session(verify._DEPTHS["quick"], 1e-9)
+    passed, worst_margin = verify._fold(verify._minimizer_bounds(session))
+    assert not passed
+    assert worst_margin > 0
+
+
+def test_registry_ids_are_unique():
+    ids = [check_id for check_id, _, _ in verify._CHECKS]
+    assert len(ids) == len(set(ids)) == 24
+
+
+def test_verify_full_depth_passes():
+    report = verify.run_verify("full")
+    failing = [c.check_id for c in report.checks if not c.passed]
+    assert not failing, f"checks failing at depth full: {failing}"
+    assert report.total == 24
