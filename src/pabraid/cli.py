@@ -101,6 +101,8 @@ def _parse_range(text: str) -> range:
     lo, hi = int(parts[0]), int(parts[1])
     if lo < 1:
         raise ValueError("range endpoints must be >= 1")
+    if hi < lo:
+        raise ValueError(f"empty range {text!r}; expected a..b with a <= b")
     return range(lo, hi + 1)
 
 

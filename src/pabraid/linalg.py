@@ -142,18 +142,13 @@ def is_irreducible(m: IntMatrix) -> bool:
             backward[j].append(i)
 
     def reaches_all(adj) -> bool:
-        seen = [False] * n
-        seen[0] = True
-        stack = [0]
-        count = 1
+        seen, stack = {0}, [0]
         while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
+            for v in adj[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
                     stack.append(v)
-        return count == n
+        return len(seen) == n
 
     return reaches_all(forward) and reaches_all(backward)
 
@@ -191,10 +186,8 @@ def perron_root(m: IntMatrix, tol: float, prec: int = DEFAULT_PREC_BITS) -> Root
         y = shifted.mul_vector(x)
         ratios = [Fraction(y[i], x[i]) for i in range(n)]
         lo, hi = min(ratios), max(ratios)
-        if lo > best_lo:
-            best_lo = lo
-        if best_hi is None or hi < best_hi:
-            best_hi = hi
+        best_lo = max(best_lo, lo)
+        best_hi = hi if best_hi is None else min(best_hi, hi)
         if best_hi - best_lo <= width / 2:
             # pad so the interval stays open even when the ratio bounds
             # collapse onto the eigenvalue exactly

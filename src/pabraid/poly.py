@@ -122,10 +122,7 @@ class IntPolynomial:
         return IntPolynomial(out)
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        out = list(self.coeffs) + [0] * max(0, len(other.coeffs) - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            out[i] -= c
-        return IntPolynomial(out)
+        return self + -other
 
     def __neg__(self) -> "IntPolynomial":
         return IntPolynomial([-c for c in self.coeffs])
@@ -133,8 +130,6 @@ class IntPolynomial:
     def __mul__(self, other: Union["IntPolynomial", int]) -> "IntPolynomial":
         if isinstance(other, int):
             return IntPolynomial([c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return IntPolynomial()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -148,8 +143,6 @@ class IntPolynomial:
         """Multiply by ``t**power``."""
         if power < 0:
             raise ValueError("shift power must be nonnegative")
-        if self.is_zero():
-            return IntPolynomial()
         return IntPolynomial([0] * power + list(self.coeffs))
 
     def derivative(self) -> "IntPolynomial":
@@ -169,12 +162,7 @@ class IntPolynomial:
     def sign_at(self, x: Exact) -> int:
         """Exact sign of ``self(x)`` at a rational point, via pure integer
         arithmetic (no Fraction normalisation in the inner loop)."""
-        if self.is_zero():
-            return 0
-        if isinstance(x, int):
-            num, den = x, 1
-        else:
-            num, den = x.numerator, x.denominator
+        num, den = x.numerator, x.denominator
         acc = 0
         dp = 1
         for c in reversed(self.coeffs):
@@ -375,11 +363,7 @@ def squarefree_part(f: IntPolynomial) -> IntPolynomial:
     if p.degree == 0:
         return IntPolynomial.one()
     g = poly_gcd(p, p.derivative())
-    if g.degree == 0:
-        out = p
-    else:
-        out = p.divexact(g)
-    out = out.primitive_part()
+    out = (p.divexact(g) if g.degree else p).primitive_part()
     return -out if out.leading < 0 else out
 
 

@@ -7,7 +7,8 @@ Two independent routes coexist deliberately and must stay independent:
 * :func:`largest_real_root` is exact.  It isolates the greatest real root
   above a floor by Descartes' rule of signs over the integers and bisection
   on rational endpoints, so the returned enclosure is certified by exact
-  sign evaluations.  Floating point only ever touches the reported witness.
+  sign evaluations.  The witness is polished on scaled integers too; mpmath
+  only rounds it to an mpf at the end.
 
 * :func:`all_roots` is numeric.  It runs Aberth-Ehrlich simultaneous
   iteration, after an exact squarefree decomposition so that repeated roots
@@ -190,42 +191,47 @@ def _divide_out_rational_root(g: IntPolynomial, r: Fraction) -> IntPolynomial:
     return g.divexact(IntPolynomial([-r.numerator, r.denominator]))
 
 
+def _log2(x: Fraction) -> int:
+    """``log2 |x|`` to within one, for ``x != 0``."""
+    return abs(x.numerator).bit_length() - x.denominator.bit_length()
+
+
 def _polish_witness(g: IntPolynomial, lo: Fraction, hi: Fraction, sign_hi: int, prec: int):
     """The witness for ``(lo, hi)``: bracketed Newton iteration from the
-    midpoint at ``prec + 16`` bits, reported at ``prec`` bits.
+    midpoint on scaled integers ``k / 2^bits``, reported at ``prec`` bits.
 
     ``g`` has one simple root in ``(lo, hi)`` and the exact sign ``sign_hi``
-    at ``hi``.  The bracket starts as the enclosure and keeps, at each
-    iterate, the side where ``g`` changes sign; a Newton step that leaves it
-    is replaced by the bracket's midpoint, and the cap lets bisection alone
-    narrow the enclosure to ``2^-(prec+16)``.  Only the printed witness
-    depends on this; the certificate is the exact interval.
+    at ``hi``.  ``bits`` gives the bracket several units and ``k`` at least
+    ``prec + 16`` significant bits, and grows as ``k`` falls towards 0, so a
+    tiny root keeps full relative precision.  One truncated Horner pass gives
+    ``p`` and ``p'``, as in :func:`_factor_roots`.  The bracket (the enclosure
+    rounded to units) keeps the side where ``g`` changes sign; a Newton step,
+    rounded to a unit, that leaves it becomes the bracket's midpoint.  Steps
+    stop below ``2^(8-prec) |k|`` or at a cap that lets bisection alone reach
+    ``2^-(prec+16)``.  Only the witness depends on this, not the certificate.
     """
     width = hi - lo
-    cap = prec + 16 + max(0, width.numerator.bit_length() - width.denominator.bit_length() + 1)
-    with mp.workprec(prec + 16):
-        a = to_witness(lo, prec + 16)
-        b = to_witness(hi, prec + 16)
-        x = (a + b) / 2
-        deriv = g.derivative()
-        eps = mp.mpf(2) ** (8 - prec)
-        for _ in range(cap):
-            gx = g(x)
-            if not gx:
-                break
-            if (gx > 0) == (sign_hi > 0):
-                b = x
-            else:
-                a = x
-            dfx = deriv(x)
-            step = gx / dfx if dfx else x - (a + b) / 2
-            if not a <= x - step <= b:
-                step = x - (a + b) / 2
-            x -= step
-            if abs(step) <= eps * (1 + abs(x)):
-                break
-        with mp.workprec(prec):
-            return +x
+    cap = prec + 16 + max(0, _log2(width) + 1)
+    bits = max(prec + 16 - _log2(max(abs(lo), abs(hi))), 4 - _log2(width))
+    a, b = round(lo * (1 << bits)), round(hi * (1 << bits))
+    k = (a + b) >> 1
+    for _ in range(cap):
+        shift = max(0, prec + 16 - abs(k).bit_length())
+        k, a, b, bits = k << shift, a << shift, b << shift, bits + shift
+        p = dp = 0
+        for c in reversed(g.coeffs):
+            dp = ((dp * k) >> bits) + p
+            p = ((p * k) >> bits) + (c << bits)
+        if not p:
+            break
+        a, b = (a, k) if (p > 0) == (sign_hi > 0) else (k, b)
+        step = ((p << bits + 1) + dp) // (dp << 1) if dp else k - (a + b) // 2
+        if not a <= k - step <= b:
+            step = k - (a + b) // 2
+        k -= step
+        if abs(step) << (prec - 8) <= abs(k):
+            break
+    return to_witness(Fraction(k, 1 << bits), prec)
 
 
 def largest_real_root(

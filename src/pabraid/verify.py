@@ -5,10 +5,10 @@ set by the depth (``quick`` or ``full``).  A sweep yields one
 ``(margin, holds)`` pair per case: ``(0.0, True)`` or ``(-1.0, False)`` for an
 exact comparison, the gap ``b.lower - a.upper`` for "enclosure ``a`` lies
 strictly below enclosure ``b``" (holds when positive, so touching enclosures
-fail), and the slack for a bound (holds when at least zero).  One verdict
-rule, :func:`_fold`, turns a whole sweep into the reported pair: ``passed``
-when every case holds, and ``worst_margin``, the least margin (0.0 for an
-empty sweep).
+fail; orderings of roots narrow both first), and the slack for a bound
+(holds when at least zero).  One verdict rule, :func:`_fold`, turns a whole
+sweep into the reported pair: ``passed`` when every case holds, and
+``worst_margin``, the least margin (0.0 for an empty sweep).
 """
 
 from __future__ import annotations
@@ -83,23 +83,25 @@ _DEPTHS = {
 }
 
 
+Member = tuple[IntPolynomial, spectral.RootEnclosure]
+
+
 class _Session:
-    """One verify run: fixed tolerance and precision, memoised dilatations."""
+    """One verify run: fixed tolerance and precision, memoised members."""
 
     def __init__(self, bounds: _Bounds, tol: float, prec: int = spectral.DEFAULT_PREC_BITS):
         self.bounds = bounds
         self.tol = tol
         self.prec = prec
         self.rng = random.Random(_SEED)
-        self._dilatations: dict[tuple[Family, int, int], families.DilatationResult] = {}
+        self._members: dict[tuple[Family, int, int], Member] = {}
 
-    def dil(self, family: Family, m: int, n: int) -> families.DilatationResult:
+    def member(self, family: Family, m: int, n: int) -> Member:
         key = (family, m, n)
-        if key not in self._dilatations:
-            self._dilatations[key] = families.dilatation(
-                FamilyParams(family, m, n), self.tol, self.prec, cross_validate=False
-            )
-        return self._dilatations[key]
+        if key not in self._members:
+            res = families.dilatation(FamilyParams(family, m, n), self.tol, self.prec, cross_validate=False)
+            self._members[key] = res.defining_poly, res.root
+        return self._members[key]
 
     def pa_params(self, limit: int):
         for m in range(1, limit + 1):
@@ -134,6 +136,18 @@ def _below(a, b) -> Margin:
     """Enclosure ``a`` lies strictly below enclosure ``b``: the gap, positive iff so."""
     gap = float(b.lower - a.upper)
     return gap, gap > 0
+
+
+def _ordered(s: _Session, lower: Member, upper: Member) -> Margin:
+    """:func:`_below` for the greatest roots above 1 of two polynomials,
+    re-isolated at 256 times finer tolerances while the enclosures meet and
+    one is at least ``2^-(prec-16)`` wide: a failure is never just width."""
+    (f, a), (g, b) = lower, upper
+    tol, finest = Fraction(s.tol), Fraction(1, 1 << (s.prec - 16))
+    while b.lower <= a.upper and max(a.width, b.width) >= finest:
+        tol /= 256
+        a, b = (spectral.largest_real_root(h, 1, tol, s.prec) for h in (f, g))
+    return _below(a, b)
 
 
 def _slack(slack: float) -> Margin:
@@ -252,35 +266,35 @@ def _dilatation_symmetry(s: _Session) -> Iterator[Margin]:
             for n in range(1, s.bounds.mn + 1):
                 if families.classify(FamilyParams(family, m, n)) is not TNKind.PSEUDO_ANOSOV:
                     continue
-                a = s.dil(family, m, n).root
-                b = s.dil(family, n, m).root
+                a = s.member(family, m, n)[1]
+                b = s.member(family, n, m)[1]
                 yield _slack(1e-9 - abs(float(a.midpoint - b.midpoint)))
 
 
 def _beta_monotone(s: _Session) -> Iterator[Margin]:
     for m in range(1, s.bounds.mn + 1):
         for n in range(1, 2 * s.bounds.mn):
-            yield _below(s.dil(Family.BETA, m, n + 1).root, s.dil(Family.BETA, m, n).root)
+            yield _ordered(s, s.member(Family.BETA, m, n + 1), s.member(Family.BETA, m, n))
 
 
 def _sigma_monotone(s: _Session) -> Iterator[Margin]:
     for m in range(1, s.bounds.mn + 1):
         for n in range(m + 2, 2 * s.bounds.mn):
-            yield _below(s.dil(Family.SIGMA, m, n).root, s.dil(Family.SIGMA, m, n + 1).root)
+            yield _ordered(s, s.member(Family.SIGMA, m, n), s.member(Family.SIGMA, m, n + 1))
 
 
 def _beta_above_sigma(s: _Session) -> Iterator[Margin]:
     for m in range(1, s.bounds.mn + 1):
         for n in range(1, s.bounds.mn + 1):
             if abs(m - n) >= 2:
-                yield _below(s.dil(Family.SIGMA, m, n).root, s.dil(Family.BETA, m, n).root)
+                yield _ordered(s, s.member(Family.SIGMA, m, n), s.member(Family.BETA, m, n))
 
 
 def _min_ordering(s: _Session) -> Iterator[Margin]:
     for m in range(2, s.bounds.mn + 1):
-        yield _below(s.dil(Family.SIGMA, m - 1, m + 1).root, s.dil(Family.BETA, m, m).root)
+        yield _ordered(s, s.member(Family.SIGMA, m - 1, m + 1), s.member(Family.BETA, m, m))
         for k in range(1, m):
-            yield _below(s.dil(Family.BETA, m, m).root, s.dil(Family.BETA, m - k, m + k).root)
+            yield _ordered(s, s.member(Family.BETA, m, m), s.member(Family.BETA, m - k, m + k))
 
 
 def _min_equality_case(s: _Session) -> Iterator[Margin]:
@@ -344,10 +358,11 @@ def _mahler_convergence(s: _Session) -> Iterator[Margin]:
 def _core_root_monotone(s: _Session) -> Iterator[Margin]:
     prev = None
     for m in range(1, 14):
-        enc = spectral.largest_real_root(families.r_poly(m), Fraction(1), s.tol, s.prec)
+        f = families.r_poly(m)
+        cur = f, spectral.largest_real_root(f, Fraction(1), s.tol, s.prec)
         if prev is not None:
-            yield _below(enc, prev)
-        prev = enc
+            yield _ordered(s, cur, prev)
+        prev = cur
 
 
 def _minimizer_bounds(s: _Session) -> Iterator[Margin]:
@@ -372,9 +387,9 @@ def _horseshoe_roundtrip(s: _Session) -> Iterator[Margin]:
 
 def _enclosure_certificates(s: _Session) -> Iterator[Margin]:
     for p in s.pa_params(min(s.bounds.mn, 4)):
-        res = s.dil(p.family, p.m, p.n)
-        yield _exact(res.root.certified)
-        yield _exact(res.defining_poly.sign_at(res.root.lower) * res.defining_poly.sign_at(res.root.upper) < 0)
+        f, root = s.member(p.family, p.m, p.n)
+        yield _exact(root.certified)
+        yield _exact(f.sign_at(root.lower) * f.sign_at(root.upper) < 0)
 
 
 #: (check id, its range string at the depth's bounds, sweep), in report order.

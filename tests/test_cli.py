@@ -97,10 +97,12 @@ def test_table_row_monotone_for_beta(run_cli):
     assert values[0] > values[1] > values[2]
 
 
-def test_table_empty_range_header_only(run_cli):
-    proc = run_cli("table", "beta", "5..3", "1..2", "--csv")
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "family,m,n,class,lambda,log_lambda"
+def test_table_reversed_range_rejected(run_cli):
+    for ranges in (("5..3", "1..2"), ("1..2", "2..1")):
+        proc = run_cli("table", "beta", *ranges, "--csv")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_table_malformed_range(run_cli):
@@ -145,6 +147,15 @@ def test_verify_quick_passes_with_enough_checks(run_cli):
     ids = {c["id"] for c in report["checks"]}
     assert len(ids) >= 12
     assert all(c["passed"] for c in report["checks"])
+
+
+@pytest.mark.parametrize("tol", ["0.01", "0.5"])
+def test_verify_quick_passes_at_coarse_tol(capsys, tol):
+    # adjacent members share a dyadic endpoint at these widths; the ordering
+    # checks narrow both enclosures until the gap shows
+    assert cli.main(["verify", "--depth", "quick", "--tol", tol]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["summary"] == {"passed": 24, "total": 24}
 
 
 def test_verify_honours_precision(capsys):

@@ -83,6 +83,17 @@ def test_largest_real_root_floor_none_finds_greatest_overall():
     assert enc.lower < -1 < enc.upper
 
 
+@pytest.mark.parametrize("root", [Fraction(3, 2**100), Fraction(1, 3 * 2**100)], ids=["dyadic", "non-dyadic"])
+@pytest.mark.parametrize("prec", [53, 128, 256])
+def test_witness_of_a_tiny_root_has_full_relative_precision(prec, root):
+    # the enclosure at tol 1e-9 is far wider than the root itself
+    linear = IntPolynomial([-root.numerator, root.denominator])
+    enc = largest_real_root(linear * IntPolynomial([1, 0, 1]), None, 1e-9, prec)
+    man, exp = enc.witness.man_exp
+    w = Fraction(man) * Fraction(2) ** exp
+    assert abs(w - root) <= root / 2 ** (prec - 1)
+
+
 def test_largest_real_root_input_validation():
     with pytest.raises(ValueError):
         largest_real_root(IntPolynomial(), Fraction(0), 1e-9)
