@@ -24,10 +24,10 @@ transcription bug.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
+from decimal import Context
 from fractions import Fraction
-
-from mpmath import mp
 
 from . import linalg
 from .poly import IntPolynomial, SalemBoydSpec, Sign, salem_boyd
@@ -166,15 +166,10 @@ def transition_matrix(params: FamilyParams) -> linalg.IntMatrix:
     else:
         m, n = _normalized_sigma(params)
         flip = -1
-    d = m + n + 2
-    rows = [[0] * d for _ in range(d)]
-    for i in range(m - 1):
-        rows[i][i + 1] = 1
-    rows[m - 1][m] = 2
+    rows = [list(row) + [0] * (n + 1) for row in r_matrix(m).entries]
+    rows += [[0] * (m + n + 2) for _ in range(n + 1)]
     rows[m - 1][m + 1] = 1
     rows[m - 1][m + n + 1] = 1
-    rows[m][0] = 1
-    rows[m][m] = 1
     rows[m][m + 1] = 2
     for i in range(1, n):
         rows[m + i][m + i + 1] = 1
@@ -238,8 +233,9 @@ class DilatationResult:
         base = [self.params.family.value, str(self.params.m), str(self.params.n), self.tn.value]
         if self.root is None:
             return base + ["", ""]
-        lam = format_float(self.root.witness)
-        log_lam = format_float(mp.log(self.root.witness))
+        w, ctx = self.root.witness, Context(prec=40)  # a correctly rounded ln
+        lam = format_float(w)
+        log_lam = format_float(ctx.ln(ctx.divide(w.numerator, w.denominator)))
         return base + [f"{lam:.10g}", f"{log_lam:.10g}"]
 
 
@@ -386,7 +382,8 @@ def minimizer(
     lies strictly inside ``((2+sqrt 3)^(1/(g+1)), (2+sqrt 3)^(1/g))`` by exact
     rational arithmetic (re-isolating at most three times, at ``tol / 100``
     each time).  Also reports the residual of the core polynomial and of the
-    identity ``x^(g+1) = x + 1 + sqrt(x^2 + x + 1)`` at the witness.
+    identity ``a = sqrt b``, ``a = x^(g+1) - x - 1``, ``b = x^2 + x + 1``, at
+    the witness: the first exactly, the second as ``|a^2 - b| / (a + sqrt b)``.
 
     The transition-matrix cross-check runs only for ``g <= 8``, where the
     exact characteristic polynomial is cheap; the matrix route is exercised
@@ -411,10 +408,8 @@ def minimizer(
         upper_ok = _certifies_upper_bound(result.root.upper, g)
 
     sign_ok = core.sign_at(result.root.lower) * core.sign_at(result.root.upper) < 0
-    with mp.workprec(prec):
-        w = result.root.witness
-        core_residual = abs(core(w))
-        power_identity_residual = abs(w ** (g + 1) - (w + 1 + mp.sqrt(w * w + w + 1)))
+    w = result.root.witness
+    a, b = w ** (g + 1) - w - 1, w * w + w + 1
     return MinimizerReport(
         g=g,
         result=result,
@@ -422,6 +417,6 @@ def minimizer(
         core_sign_change_ok=sign_ok,
         lower_bound_ok=lower_ok,
         upper_bound_ok=upper_ok,
-        core_residual=float(core_residual),
-        power_identity_residual=float(power_identity_residual),
+        core_residual=float(abs(core(w))),
+        power_identity_residual=float(abs(a * a - b)) / (float(a) + math.sqrt(b)),
     )

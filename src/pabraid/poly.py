@@ -5,7 +5,7 @@ coefficient of ``t**i``, so the constant term is always ``coeffs[0]``.
 The zero polynomial is the empty tuple and its degree is ``None`` (a real
 sentinel, never an integer).  Everything in this module is exact; floating
 point enters only through :meth:`IntPolynomial.__call__` when the caller
-evaluates at a float/mpf/complex point.
+evaluates at a float or complex point.
 
 Besides the ring operations, this module provides the reciprocal
 ``f_*(t) = t^deg(f) * f(1/t)``, the shifted combinations
@@ -152,8 +152,7 @@ class IntPolynomial:
 
     def __call__(self, x):
         """Horner evaluation.  Exact for int/Fraction arguments, and follows the
-        arithmetic of whatever numeric type ``x`` is otherwise (float, complex,
-        mpmath mpf/mpc)."""
+        arithmetic of whatever numeric type ``x`` is otherwise (float, complex)."""
         acc = 0 * x  # zero of the argument's type
         for c in reversed(self.coeffs):
             acc = acc * x + c

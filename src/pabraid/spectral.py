@@ -7,16 +7,17 @@ Two independent routes coexist deliberately and must stay independent:
 * :func:`largest_real_root` is exact.  It isolates the greatest real root
   above a floor by Descartes' rule of signs over the integers and bisection
   on rational endpoints, so the returned enclosure is certified by exact
-  sign evaluations.  The witness is polished on scaled integers too; mpmath
-  only rounds it to an mpf at the end.
+  sign evaluations.  The witness is polished on scaled integers too and
+  rounded once to a dyadic rational of ``prec`` significant bits.
 
 * :func:`all_roots` is numeric.  It runs Aberth-Ehrlich simultaneous
   iteration, after an exact squarefree decomposition so that repeated roots
   (the families here genuinely have double roots at -1) are located at full
   accuracy with exact integer multiplicities.  One Gauss-Seidel sweep
   routine, which freezes converged roots, serves both the double-precision
-  warm start and the fixed-point integer refinement.  Each approximation
-  carries the Newton residual of its refinement's last evaluation.
+  warm start and the fixed-point integer refinement.  Each approximation is
+  an exact dyadic pair with the Newton residual of its last evaluation: the
+  census compares moduli exactly, the Mahler measure is a fixed-point product.
 """
 
 from __future__ import annotations
@@ -24,10 +25,8 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import inf, isqrt, lcm
 from typing import Sequence
-
-from mpmath import mp
 
 from .poly import (
     IntPolynomial,
@@ -49,10 +48,16 @@ class ConvergenceError(RuntimeError):
     """Raised when simultaneous iteration fails even at maximum precision."""
 
 
-def to_witness(x: Fraction, prec: int = DEFAULT_PREC_BITS):
-    """Round an exact rational to an mpf at the given precision."""
-    with mp.workprec(prec):
-        return mp.mpf(x.numerator) / x.denominator
+def to_witness(x: Fraction, prec: int = DEFAULT_PREC_BITS) -> Fraction:
+    """``x`` rounded once to the nearest dyadic rational with ``prec``
+    significant bits, ties to even."""
+    if not x:
+        return Fraction(0)
+    e = _log2(x) - prec  # |x| / 2^e lies in (2^(prec-1), 2^(prec+1))
+    num, den = x.numerator << max(-e, 0), x.denominator << max(e, 0)
+    if abs(num) >= den << prec:
+        e, den = e + 1, den << 1
+    return Fraction(round(Fraction(num, den)) << max(e, 0), 1 << max(-e, 0))
 
 
 @dataclass(frozen=True)
@@ -60,21 +65,20 @@ class RootEnclosure:
     """An interval known to contain one targeted real root.
 
     ``certified`` records whether the defining polynomial itself changes sign
-    between the exact rational endpoints; the witness is a high-precision
-    approximation inside the interval and carries no certainty of its own.
+    between the exact rational endpoints; the witness is a dyadic rational
+    of ``prec`` significant bits inside the interval (see :func:`to_witness`)
+    and carries no certainty of its own.
     """
 
     lower: Fraction
     upper: Fraction
-    witness: object  # mpmath.mpf
+    witness: Fraction
     certified: bool
 
     def __post_init__(self):
         if not self.lower < self.upper:
             raise ValueError("enclosure requires lower < upper")
-        man, exp = self.witness.man_exp
-        exact = Fraction(man) * Fraction(2) ** exp * (-1 if self.witness < 0 else 1)
-        if not self.lower <= exact <= self.upper:
+        if not self.lower <= self.witness <= self.upper:
             raise ValueError("witness lies outside its enclosure: --tol is finer than --precision can resolve")
 
     @property
@@ -106,18 +110,24 @@ class UnitCircleCensus:
 
 @dataclass(frozen=True)
 class RootApprox:
-    """One root approximation with its Newton residual and the exact
-    multiplicity it carries in the input polynomial.
+    """One root approximation ``real + i imag`` in dyadic rationals, with its
+    Newton residual and the exact multiplicity it carries in the input.
 
-    The residual is ``|g/g'|`` for the squarefree factor ``g`` that the root
-    was located in (against ``f`` itself a multiple root would give only
-    evaluation noise), taken at the root's last evaluation, just before its
-    last correction, so a converged iteration overstates the distance.
+    The residual bounds ``|g/g'|`` from above (``inf`` where ``g' = 0``) for
+    the squarefree factor ``g`` that the root was located in (against ``f``
+    itself a multiple root would give only evaluation noise), taken at the
+    root's last evaluation, just before its last correction, so a converged
+    iteration overstates the distance.
     """
 
-    value: object  # mpmath.mpc
-    residual: object  # mpmath.mpf
+    real: Fraction
+    imag: Fraction
+    residual: Fraction | float
     multiplicity: int
+
+    @property
+    def value(self) -> complex:
+        return complex(self.real, self.imag)
 
 
 # -- exact counts --------------------------------------------------------------
@@ -356,8 +366,8 @@ def _to_fixed(x: float, bits: int) -> int:
     return (num << bits) // den
 
 
-def _factor_roots(factor: IntPolynomial, prec: int) -> list[tuple[object, object]]:
-    """Roots of one squarefree factor at ``prec`` bits with their residuals:
+def _factor_roots(factor: IntPolynomial, prec: int) -> list[tuple[Fraction, Fraction, Fraction | float]]:
+    """Roots ``(re, im, residual)`` of one squarefree factor at ``prec`` bits:
     a double warm start on the circle of radius ``|c0/cd|^(1/d)``, then a
     refinement at ``(a + bi) / 2^(prec + 32)`` with integer ``a, b`` (one
     exact Horner pass for ``p`` and ``p'``; with integer coefficients its
@@ -410,10 +420,9 @@ def _factor_roots(factor: IntPolynomial, prec: int) -> list[tuple[object, object
         return complex(fixed[i][0] / one, fixed[i][1] / one), abs(w + excess) / (1 + abs(zs[i]))
 
     _aberth(refine, zs, tiny, 120)
-    with mp.workprec(prec):
-        return [(mp.mpc(mp.ldexp(a, -bits), mp.ldexp(b, -bits)),
-                 mp.inf if w is None else mp.ldexp(mp.hypot(*w), -bits))
-                for (a, b), w in zip(fixed, newton)]
+    return [(Fraction(a, one), Fraction(b, one),
+             inf if w is None else Fraction(isqrt(w[0] ** 2 + w[1] ** 2) + 1, one))
+            for (a, b), w in zip(fixed, newton)]
 
 
 def all_roots(
@@ -451,39 +460,39 @@ def all_roots(
 def _all_roots_at(f: IntPolynomial, precision: float, prec: int):
     located: list[RootApprox] = []
     for factor, mult in squarefree_decomposition(f):
-        for z, residual in _factor_roots(factor, prec):
+        for real, imag, residual in _factor_roots(factor, prec):
             if not residual < precision:
                 return None
-            located.append(RootApprox(z, residual, mult))
-    located.sort(key=lambda r: (r.value.real, r.value.imag))
+            located.append(RootApprox(real, imag, residual, mult))
+    # sorted as rounded to prec bits, so a conjugate pair goes by its imaginary part
+    located.sort(key=lambda r: (to_witness(r.real, prec), to_witness(r.imag, prec)))
     return [r for r in located for _ in range(r.multiplicity)]
 
 
 # -- derived quantities ------------------------------------------------------
 
 
-def mahler_measure(f: IntPolynomial, tol: float = 1e-9, prec: int = DEFAULT_PREC_BITS):
-    """``|lc(f)| * prod max(1, |z|)`` over all roots, as an mpf.
+def mahler_measure(f: IntPolynomial, tol: float = 1e-9, prec: int = DEFAULT_PREC_BITS) -> Fraction:
+    """``|lc(f)| * prod max(1, |z|)`` over all roots, as a dyadic rational
+    of ``prec`` significant bits (:func:`to_witness`).
 
-    The residual target handed to :func:`all_roots` is several orders below
-    ``tol`` divided by the degree, so the propagated error of the product is
-    below ``tol`` with a wide margin.
+    The moduli ``|z| > 1`` are multiplied in fixed point, ``isqrt`` of
+    ``|z|^2`` at ``prec + 32`` fractional bits.  The residual target handed
+    to :func:`all_roots` is several orders below ``tol`` divided by the
+    degree, so the propagated error of the product is below ``tol`` with a
+    wide margin.
     """
     if f.is_zero():
         raise ValueError("Mahler measure of the zero polynomial is undefined")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if f.degree == 0:
-        return mp.mpf(abs(f.constant))
-    target = min(1e-18, tol * 1e-4 / (f.degree + 1))
-    roots = all_roots(f, precision=target, prec=prec)
-    with mp.workprec(prec):
-        measure = mp.mpf(abs(f.leading))
-        for r in roots:
-            a = abs(r.value)
-            if a > 1:
-                measure *= a
-        return measure
+    one = 1 << (prec + 32)
+    measure = abs(f.leading) * one
+    for r in all_roots(f, min(1e-18, tol * 1e-4 / (f.degree + 1)), prec) if f.degree else []:
+        square = r.real**2 + r.imag**2
+        if square > 1:
+            measure = measure * isqrt(square.numerator * one * one // square.denominator) // one
+    return to_witness(Fraction(measure, one), prec)
 
 
 def count_outside_unit(
@@ -494,21 +503,16 @@ def count_outside_unit(
         raise ValueError("census of the zero polynomial is undefined")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if f.degree == 0:
-        return UnitCircleCensus(0, 0, 0, tol)
-    target = min(1e-18, tol * 1e-6)
-    roots = all_roots(f, precision=target, prec=prec)
+    near, far = max(0, 1 - Fraction(tol)) ** 2, (1 + Fraction(tol)) ** 2
     outside = on_circle = inside = 0
-    with mp.workprec(prec):
-        tol_mp = mp.mpf(tol)
-        for r in roots:
-            gap = abs(r.value) - 1
-            if abs(gap) <= tol_mp:
-                on_circle += 1
-            elif gap > 0:
-                outside += 1
-            else:
-                inside += 1
+    for r in all_roots(f, min(1e-18, tol * 1e-6), prec) if f.degree else []:
+        square = r.real**2 + r.imag**2
+        if near <= square <= far:
+            on_circle += 1
+        elif square > far:
+            outside += 1
+        else:
+            inside += 1
     census = UnitCircleCensus(outside, on_circle, inside, tol)
     if census.total != f.degree:
         raise ArithmeticError("census does not account for every root")

@@ -74,6 +74,34 @@ def test_deterministic_output():
     assert first.stdout.strip()
 
 
+def test_runtime_needs_no_mpmath(tmp_path):
+    # a fresh interpreter in which ``import mpmath`` fails runs every command
+    base = tmp_path / "base.txt"
+    base.write_text("-2,-1,1\n", encoding="utf-8")
+    commands = [
+        ["dilatation", "sigma", "2", "5", "--csv"],
+        ["table", "beta", "1..3", "1..3"],
+        ["salem-boyd", str(base), "6"],
+        ["verify", "--depth", "quick"],
+        ["horseshoe", "10000100"],
+    ]
+    script = (
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from pabraid import cli\n"
+        f"print([cli.main(argv) for argv in {commands!r}], file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "[0, 0, 0, 0, 0]\n"
+
+
 def test_table_csv_classification_cells(run_cli):
     proc = run_cli("table", "sigma", "1..3", "1..8", "--csv")
     assert proc.returncode == 0

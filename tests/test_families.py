@@ -149,8 +149,7 @@ def test_witness_changes_sign_at_coarse_tol(tol, prec):
                 if classify(p) is not TNKind.PSEUDO_ANOSOV:
                     continue
                 res = dilatation(p, tol, prec, cross_validate=False)
-                man, exp = res.root.witness.man_exp
-                w = Fraction(man) * Fraction(2) ** exp  # the witness is above 1
+                w = res.root.witness
                 f = res.defining_poly
                 assert f.sign_at(w - delta) * f.sign_at(w + delta) < 0, (p, tol, prec)
 

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from pabraid.families import r_poly
+from pabraid.families import r_matrix, r_poly
+from pabraid.linalg import perron_root
 from pabraid.poly import IntPolynomial, SalemBoydSpec, Sign, cauchy_root_bound, salem_boyd, squarefree_part
 from pabraid.spectral import (
     NoRealRootError,
@@ -17,6 +18,7 @@ from pabraid.spectral import (
     largest_real_root,
     mahler_measure,
     sturm_chain,
+    to_witness,
 )
 
 R1 = IntPolynomial([-2, -1, 1])
@@ -89,9 +91,50 @@ def test_witness_of_a_tiny_root_has_full_relative_precision(prec, root):
     # the enclosure at tol 1e-9 is far wider than the root itself
     linear = IntPolynomial([-root.numerator, root.denominator])
     enc = largest_real_root(linear * IntPolynomial([1, 0, 1]), None, 1e-9, prec)
-    man, exp = enc.witness.man_exp
-    w = Fraction(man) * Fraction(2) ** exp
-    assert abs(w - root) <= root / 2 ** (prec - 1)
+    assert abs(enc.witness - root) <= root / 2 ** (prec - 1)
+
+
+def _mpf_value(x) -> Fraction:
+    """The exact value of an mpmath mpf (``man_exp`` carries no sign)."""
+    man, exp = x.man_exp
+    return Fraction(-man if x < 0 else man) * Fraction(2) ** exp
+
+
+@pytest.mark.parametrize("prec", [53, 128, 256])
+def test_to_witness_rounds_dyadics_like_mpmath(prec):
+    # mpmath rounds a dyadic once, to nearest with ties to even
+    rng = random.Random(prec)
+    for _ in range(300):
+        bits = rng.randint(60, 400)
+        num = (rng.getrandbits(bits) | 1 << (bits - 1)) * rng.choice([-1, 1])
+        x = Fraction(num) * Fraction(2) ** rng.randint(-500, 100)
+        with mp.workprec(prec):
+            expected = _mpf_value(mp.mpf(x.numerator) / x.denominator)
+        assert to_witness(x, prec) == expected, (x, prec)
+
+
+def test_to_witness_ties_to_even_and_edge_values():
+    half_way = Fraction(2**53 + 1, 2**60)  # between 2^53 and 2^53 + 2 units
+    assert to_witness(half_way, 53) == Fraction(2**53, 2**60)
+    assert to_witness(Fraction(2**53 + 3, 2**60), 53) == Fraction(2**53 + 4, 2**60)
+    assert to_witness(-half_way, 53) == -Fraction(2**53, 2**60)
+    assert to_witness(Fraction(2**54 - 1), 53) == 2**54  # rounding up carries into a new bit
+    assert to_witness(Fraction(0), 53) == 0
+    assert to_witness(Fraction(-1, 3), 53) == Fraction(-1 / 3)  # a double is correctly rounded
+    assert to_witness(Fraction(-1, 3), 128) == -to_witness(Fraction(1, 3), 128)
+
+
+@pytest.mark.parametrize("m", [3, 6, 12])
+def test_to_witness_rounds_a_non_dyadic_once(m):
+    # mpmath's mpf(num) / den rounds the numerator first and then the
+    # quotient; at these Perron midpoints that lands one unit off
+    enc = perron_root(r_matrix(m), 1e-9, 53)
+    mid = enc.midpoint
+    assert enc.witness == to_witness(mid, 53) == Fraction(float(mid))
+    with mp.workprec(53):
+        twice = _mpf_value(mp.mpf(mid.numerator) / mid.denominator)
+    assert twice != enc.witness
+    assert abs(enc.witness - mid) < abs(twice - mid)
 
 
 def test_largest_real_root_input_validation():
@@ -209,6 +252,18 @@ def test_census_examples():
     census = count_outside_unit(R1)
     assert (census.outside, census.on_circle, census.inside) == (1, 1, 0)
     assert census.total == R1.degree
+
+
+def test_census_compares_moduli_exactly():
+    # the root of 2^30 t - (2^30 + 1) has modulus exactly 1 + 2^-30
+    f = IntPolynomial([-(2**30 + 1), 2**30])
+    census = count_outside_unit(f, tol=2.0**-30 + 2.0**-60)
+    assert (census.outside, census.on_circle, census.inside) == (0, 1, 0)
+    census = count_outside_unit(f, tol=2.0**-30 - 2.0**-60)
+    assert (census.outside, census.on_circle, census.inside) == (1, 0, 0)
+    # with tol > 1 the inner radius 1 - tol is clamped to 0
+    census = count_outside_unit(IntPolynomial([0, 1]), tol=2.0)
+    assert (census.outside, census.on_circle, census.inside) == (0, 1, 0)
 
 
 def test_census_counts_outside_complex_roots():
