@@ -7,8 +7,6 @@ from .poly import (
     SalemBoydSpec,
     Sign,
     SymmetryClass,
-    arithmetic,
-    evaluate,
     reciprocal,
     salem_boyd,
     symmetry_class,

@@ -17,7 +17,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import families, horseshoe, verify
+from . import families, horseshoe, spectral
 from .families import Family, FamilyParams, OracleMismatchError, format_float
 from .poly import IntPolynomial, SalemBoydSpec, Sign, salem_boyd
 from .spectral import ConvergenceError, NoRealRootError, largest_real_root, mahler_measure, count_outside_unit
@@ -42,7 +42,7 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
     parser.add_argument("--csv", action="store_true", help="shorthand for --format csv")
     parser.add_argument("--precision", type=int, default=128, metavar="BITS",
-                        help="working precision for witnesses and root sets (default 128, at least 53)")
+                        help="working precision for witnesses and root sets (default 128, 53 to 1024)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -84,9 +84,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _check_common_flags(args) -> None:
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError(f"--tol must be positive and finite, got {args.tol}")
-    if args.precision < _MIN_PRECISION_BITS:
+    if not _MIN_PRECISION_BITS <= args.precision <= spectral._MAX_PREC_BITS:
         raise ValueError(
-            f"--precision must be at least {_MIN_PRECISION_BITS} bits, got {args.precision}"
+            f"--precision must be {_MIN_PRECISION_BITS} to {spectral._MAX_PREC_BITS} bits, got {args.precision}"
         )
 
 
@@ -192,6 +192,8 @@ def _emit_sb_row(row: dict, fmt: str) -> None:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify  # the check registry loads only for this command
+
     report = verify.run_verify(args.depth, args.tol, args.precision)
     print(_dumps(report.to_json_data()))
     return EXIT_OK if report.passed == report.total else EXIT_CHECK_FAILED

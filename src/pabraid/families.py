@@ -314,11 +314,13 @@ def singularity_data(params: FamilyParams) -> SingularityData:
 
 def orientable_lift(params: FamilyParams) -> bool:
     """Whether the invariant foliations lift to orientable ones on the double
-    cover: both parameters odd for beta; even parameter sum for sigma."""
-    _require_pa(params)
-    if params.family is Family.BETA:
-        return params.m % 2 == 1 and params.n % 2 == 1
-    return (params.m + params.n) % 2 == 0
+    cover branched over the marked points (and infinity when their count is
+    odd): exactly when every odd-pronged singularity is a branch point.  The
+    marked points always are, the interior fixed points never are."""
+    data = singularity_data(params)
+    interior = (data.p_prongs, data.q_prongs or 0)
+    infinity_ok = data.marked_point_count % 2 == 1 or data.p_infinity_prongs % 2 == 0
+    return infinity_ok and all(k % 2 == 0 for k in interior)
 
 
 # -- the least-dilatation member ------------------------------------------------

@@ -49,10 +49,6 @@ class IntPolynomial:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "IntPolynomial":
-        return cls()
-
-    @classmethod
     def one(cls) -> "IntPolynomial":
         return cls([1])
 
@@ -219,31 +215,6 @@ class IntPolynomial:
         return [c if abs(c) <= _JSON_SAFE_INT else str(c) for c in self.coeffs]
 
 
-# -- the spec-level operation surface -------------------------------------
-
-
-def arithmetic(a: IntPolynomial, b, op: str) -> IntPolynomial:
-    """Dispatch exact polynomial arithmetic by operation name.
-
-    ``op`` is one of ``add``, ``sub``, ``mul``, ``shift_by_power``; for the
-    shift, ``b`` is the nonnegative integer exponent.
-    """
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "shift_by_power":
-        return a.shift(b)
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def evaluate(f: IntPolynomial, x):
-    """Evaluate ``f`` at ``x``; exact when ``x`` is an int or Fraction."""
-    return f(x)
-
-
 def reciprocal(f: IntPolynomial) -> IntPolynomial:
     """The degree-reversal ``f_*(t) = t^d f(1/t)`` with ``d = deg f``.
 
@@ -354,6 +325,14 @@ def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     return -p if p.leading < 0 else p
 
 
+def _squarefree_step(p: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
+    """For a primitive ``p`` of degree >= 1: ``g = gcd(p, p')`` and the
+    squarefree part ``p / g``, primitive with positive leading coefficient."""
+    g = poly_gcd(p, p.derivative())
+    sf = (p.divexact(g) if g.degree else p).primitive_part()
+    return g, (-sf if sf.leading < 0 else sf)
+
+
 def squarefree_part(f: IntPolynomial) -> IntPolynomial:
     """Primitive polynomial with the same roots as ``f``, all simple."""
     if f.is_zero():
@@ -361,9 +340,7 @@ def squarefree_part(f: IntPolynomial) -> IntPolynomial:
     p = f.primitive_part()
     if p.degree == 0:
         return IntPolynomial.one()
-    g = poly_gcd(p, p.derivative())
-    out = (p.divexact(g) if g.degree else p).primitive_part()
-    return -out if out.leading < 0 else out
+    return _squarefree_step(p)[1]
 
 
 def squarefree_decomposition(f: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
@@ -374,24 +351,16 @@ def squarefree_decomposition(f: IntPolynomial) -> list[tuple[IntPolynomial, int]
     """
     if f.is_zero():
         raise ValueError("squarefree decomposition of the zero polynomial is undefined")
-    p = f.primitive_part()
-    if p.leading < 0:
-        p = -p
-    if p.degree == 0:
+    t = f.primitive_part()
+    if t.degree == 0:
         return []
     # chain[i] = product of the distinct irreducible factors of multiplicity > i
     chain: list[IntPolynomial] = []
-    t = p
-    while t.degree and t.degree >= 1:
-        g = poly_gcd(t, t.derivative())
-        sf = t.divexact(g) if g.degree else t
-        sf = sf.primitive_part()
-        if sf.leading < 0:
-            sf = -sf
+    while True:
+        t, sf = _squarefree_step(t)
         chain.append(sf)
-        if g.degree == 0:
+        if t.degree == 0:
             break
-        t = g
     out = []
     for i, cur in enumerate(chain):
         nxt = chain[i + 1] if i + 1 < len(chain) else IntPolynomial.one()

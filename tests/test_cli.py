@@ -102,6 +102,19 @@ def test_runtime_needs_no_mpmath(tmp_path):
     assert proc.stderr == "[0, 0, 0, 0, 0]\n"
 
 
+def test_import_leaves_the_check_registry_unloaded():
+    script = "import sys\nimport pabraid.cli\nprint('pabraid.verify' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_table_csv_classification_cells(run_cli):
     proc = run_cli("table", "sigma", "1..3", "1..8", "--csv")
     assert proc.returncode == 0
@@ -237,7 +250,8 @@ def _with_base(argv, tmp_path):
 
 @pytest.mark.parametrize(
     "flag",
-    ["--tol=inf", "--tol=-inf", "--tol=nan", "--tol=0", "--tol=-1", "--precision=52", "--precision=16", "--precision=0", "--precision=-5"],
+    ["--tol=inf", "--tol=-inf", "--tol=nan", "--tol=0", "--tol=-1",
+     "--precision=52", "--precision=16", "--precision=0", "--precision=-5", "--precision=1025"],
 )
 @pytest.mark.parametrize("argv", _SUBCOMMANDS, ids=lambda argv: argv[0])
 def test_bad_common_flag_rejected_before_work(argv, flag, tmp_path, capsys):

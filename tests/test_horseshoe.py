@@ -58,15 +58,6 @@ def test_family_to_codes_validation():
         family_to_codes(2, 3)
 
 
-def test_round_trip_and_length_law():
-    for m in range(1, 6):
-        for n in range(m + 2, 13):
-            code_a, code_b = family_to_codes(m, n)
-            assert len(code_a) == len(code_b) == m + n + 1
-            assert code_to_family(code_a) == FamilyMatch(m, n, "A")
-            assert code_to_family(code_b) == FamilyMatch(m, n, "B")
-
-
 def test_code_to_family_matches_definition_on_all_short_words():
     # the match implied by the rotations of every family code, up to length 12
     expected = {}

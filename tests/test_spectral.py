@@ -234,11 +234,6 @@ def test_all_roots_validation():
         all_roots(IntPolynomial([3]))
 
 
-@pytest.mark.parametrize("m", range(1, 9))
-def test_mahler_measure_of_core_polys_is_two(m):
-    assert abs(float(mahler_measure(r_poly(m), 1e-9)) - 2.0) <= 1e-8
-
-
 def test_mahler_measure_simple_values():
     assert float(mahler_measure(IntPolynomial([-1, 1]))) == pytest.approx(1.0, abs=1e-12)
     assert float(mahler_measure(T11)) == pytest.approx(2.618034, abs=1e-6)
@@ -278,16 +273,6 @@ def test_sturm_chain_counts_distinct_roots():
     assert count_roots_between(chain, Fraction(0), Fraction(4)) == 3
     assert count_roots_between(chain, Fraction(3, 2), Fraction(4)) == 2
     assert count_roots_between(chain, Fraction(7, 2), Fraction(4)) == 0
-
-
-def test_root_count_law_small_sweep():
-    for m in (1, 2, 3):
-        base = r_poly(m)
-        allowed = count_outside_unit(base).outside
-        for n in range(0, 13):
-            for sign in (Sign.PLUS, Sign.MINUS):
-                q = salem_boyd(SalemBoydSpec(base, n, sign))
-                assert count_outside_unit(q).outside <= allowed
 
 
 def test_core_root_sequence_strictly_decreasing():

@@ -3,6 +3,8 @@
 from dataclasses import replace
 from fractions import Fraction
 
+import pytest
+
 from pabraid import families, verify
 from pabraid.spectral import RootEnclosure, to_witness
 
@@ -59,8 +61,12 @@ def test_registry_ids_are_unique():
     assert len(ids) == len(set(ids)) == 24
 
 
-def test_verify_full_depth_passes():
-    report = verify.run_verify("full")
-    failing = [c.check_id for c in report.checks if not c.passed]
-    assert not failing, f"checks failing at depth full: {failing}"
-    assert report.total == 24
+@pytest.fixture(scope="module")
+def full_report():
+    return {c.check_id: c for c in verify.run_verify("full").checks}
+
+
+@pytest.mark.parametrize("check_id", [check_id for check_id, _, _ in verify._CHECKS])
+def test_check_passes_at_full_depth(full_report, check_id):
+    check = full_report[check_id]
+    assert check.passed, f"{check_id} fails over {check.range}: worst margin {check.worst_margin}"
