@@ -39,10 +39,14 @@ def _dumps(obj) -> str:
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=1e-9, help="enclosure width target (default 1e-9)")
-    parser.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
-    parser.add_argument("--csv", action="store_true", help="shorthand for --format csv")
     parser.add_argument("--precision", type=int, default=128, metavar="BITS",
                         help="working precision for witnesses and root sets (default 128, 53 to 1024)")
+
+
+def _format_flags(parser: argparse.ArgumentParser) -> None:
+    """``--format`` and ``--csv`` write one value, so the last of them wins."""
+    parser.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
+    parser.add_argument("--csv", action="store_const", dest="format", const="csv", help="shorthand for --format csv")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,18 +61,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dil.add_argument("m", type=int)
     p_dil.add_argument("n", type=int)
     _common_flags(p_dil)
+    _format_flags(p_dil)
 
     p_table = sub.add_parser("table", help="sweep a rectangle of parameters")
     p_table.add_argument("family", choices=("beta", "sigma"))
     p_table.add_argument("m_range", help="inclusive range, e.g. 1..3")
     p_table.add_argument("n_range", help="inclusive range, e.g. 1..8")
     _common_flags(p_table)
+    _format_flags(p_table)
 
     p_sb = sub.add_parser("salem-boyd", help="shifted-combination sweep of a monic base polynomial")
     p_sb.add_argument("poly_file", help="file holding ascending comma-separated coefficients")
     p_sb.add_argument("n_max", type=int)
     p_sb.add_argument("--sign", choices=("plus", "minus"), default="plus")
     _common_flags(p_sb)
+    _format_flags(p_sb)
 
     p_verify = sub.add_parser("verify", help="run the invariant suite")
     p_verify.add_argument("--depth", choices=("quick", "full"), default="quick")
@@ -90,10 +97,6 @@ def _check_common_flags(args) -> None:
         )
 
 
-def _fmt(args) -> str:
-    return "csv" if args.csv else args.format
-
-
 def _parse_range(text: str) -> range:
     parts = text.split("..")
     if len(parts) != 2:
@@ -106,13 +109,13 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
+def _print_result(result: families.DilatationResult, fmt: str) -> None:
+    print(",".join(result.to_csv_row()) if fmt == "csv" else _dumps(result.to_json_data()))
+
+
 def _cmd_dilatation(args) -> int:
     params = FamilyParams(Family(args.family), args.m, args.n)
-    result = families.dilatation(params, args.tol, args.precision)
-    if _fmt(args) == "csv":
-        print(",".join(result.to_csv_row()))
-    else:
-        print(_dumps(result.to_json_data()))
+    _print_result(families.dilatation(params, args.tol, args.precision), args.format)
     return EXIT_OK
 
 
@@ -120,16 +123,11 @@ def _cmd_table(args) -> int:
     m_range = _parse_range(args.m_range)
     n_range = _parse_range(args.n_range)
     family = Family(args.family)
-    fmt = _fmt(args)
-    if fmt == "csv":
+    if args.format == "csv":
         print(_CSV_HEADER)
     for m in m_range:
         for n in n_range:
-            result = families.dilatation(FamilyParams(family, m, n), args.tol, args.precision)
-            if fmt == "csv":
-                print(",".join(result.to_csv_row()))
-            else:
-                print(_dumps(result.to_json_data()))
+            _print_result(families.dilatation(FamilyParams(family, m, n), args.tol, args.precision), args.format)
     return EXIT_OK
 
 
@@ -144,17 +142,16 @@ def _cmd_salem_boyd(args) -> int:
     if args.n_max < 0:
         raise ValueError("n_max must be >= 0")
     sign = Sign(args.sign)
-    fmt = _fmt(args)
-    if fmt == "csv":
+    if args.format == "csv":
         print("n,mahler,lambda,outside,on_circle")
     for n in range(args.n_max + 1):
         q = salem_boyd(SalemBoydSpec(base, n, sign))
         row = _salem_boyd_row(q, args)
         row["n"] = n
-        _emit_sb_row(row, fmt)
+        _emit_sb_row(row, args.format)
     final = _salem_boyd_row(base, args)
     final["n"] = "base"
-    _emit_sb_row(final, fmt)
+    _emit_sb_row(final, args.format)
     return EXIT_OK
 
 
@@ -187,8 +184,7 @@ def _emit_sb_row(row: dict, fmt: str) -> None:
                 cells.append(str(value))
         print(",".join(cells))
     else:
-        ordered = {k: row[k] for k in ("n", "mahler", "lambda", "outside", "on_circle")}
-        print(_dumps(ordered))
+        print(_dumps(row))
 
 
 def _cmd_verify(args) -> int:

@@ -69,10 +69,6 @@ class FamilyParams:
             raise ValueError("family parameters require m >= 1 and n >= 1")
 
     @property
-    def strands(self) -> int:
-        return self.m + self.n + 1
-
-    @property
     def g(self) -> int:
         """Half of ``m + n``; defined only when the sum is even."""
         if (self.m + self.n) % 2 != 0:
@@ -206,10 +202,6 @@ class DilatationResult:
     defining_poly: IntPolynomial | None
     root: RootEnclosure | None
     provenance: Provenance | None
-
-    @property
-    def witness(self):
-        return self.root.witness if self.root is not None else None
 
     def to_json_data(self) -> dict:
         data = {

@@ -18,6 +18,12 @@ Two independent routes coexist deliberately and must stay independent:
   warm start and the fixed-point integer refinement.  Each approximation is
   an exact dyadic pair with the Newton residual of its last evaluation: the
   census compares moduli exactly, the Mahler measure is a fixed-point product.
+
+:func:`sturm_chain` and :func:`count_roots_between` are a second exact root
+counter that no runtime code calls: every enclosure comes from Descartes
+isolation.  They are the tests' independent oracle for that isolation, and
+they live here because the layer tracer of ``perfbench`` looks them up in
+this module by name.
 """
 
 from __future__ import annotations
@@ -140,7 +146,8 @@ def _sign_changes(values: Sequence[int]) -> int:
 
 
 def sturm_chain(g: IntPolynomial) -> list[IntPolynomial]:
-    """Sturm chain of a squarefree integer polynomial.
+    """Sturm chain of a squarefree integer polynomial; the tests' oracle for
+    Descartes isolation, with no caller in the runtime.
 
     Remainders are produced by pseudo-division and rescaled to primitive
     integer polynomials; each rescale is by a positive constant (the sign of
@@ -163,7 +170,8 @@ def sturm_chain(g: IntPolynomial) -> list[IntPolynomial]:
 
 
 def count_roots_between(chain: Sequence[IntPolynomial], a: Fraction, b: Fraction) -> int:
-    """Distinct real roots of ``chain[0]`` in the open interval ``(a, b)``.
+    """Distinct real roots of ``chain[0]`` in the open interval ``(a, b)``;
+    like :func:`sturm_chain`, used only by the tests.
 
     Both endpoints must be non-roots of ``chain[0]``.
     """
@@ -434,7 +442,8 @@ def all_roots(
 
     The polynomial is first split into exact squarefree factors so that the
     iteration only ever sees simple roots; each located root is emitted once
-    per unit of multiplicity, so the list has exactly ``deg f`` entries.
+    per unit of multiplicity, so the list has exactly ``deg f`` entries, in
+    no specified order.
     Iteration restarts at doubled working precision (up to 1024 bits) until
     every Newton residual (see :class:`RootApprox`) is below ``precision``;
     failure at the cap raises :class:`ConvergenceError`.
@@ -464,8 +473,6 @@ def _all_roots_at(f: IntPolynomial, precision: float, prec: int):
             if not residual < precision:
                 return None
             located.append(RootApprox(real, imag, residual, mult))
-    # sorted as rounded to prec bits, so a conjugate pair goes by its imaginary part
-    located.sort(key=lambda r: (to_witness(r.real, prec), to_witness(r.imag, prec)))
     return [r for r in located for _ in range(r.multiplicity)]
 
 

@@ -28,7 +28,6 @@ from .poly import (
     poly_gcd,
     reciprocal,
     salem_boyd,
-    squarefree_part,
     symmetry_class,
 )
 
@@ -298,23 +297,16 @@ def _min_ordering(s: _Session) -> Iterator[Margin]:
 
 
 def _min_equality_case(s: _Session) -> Iterator[Margin]:
-    """The two dilatations that coincide do so exactly: the defining
-    polynomials share a factor, and each polynomial's greatest real root is
-    the greatest real root of that common factor."""
-    beta_poly = families.closed_form_poly(FamilyParams(Family.BETA, 2, 3))
-    sigma_poly = families.closed_form_poly(FamilyParams(Family.SIGMA, 1, 4))
+    """The two dilatations that coincide do so exactly: the shared factor
+    ``h`` of the defining polynomials changes sign across both members'
+    enclosures.  Each enclosure holds one distinct root of its ``f`` and none
+    lies above it, so as ``h`` divides ``f`` that root is ``h``'s greatest
+    real root, the same number for both members."""
+    beta_poly, beta_root = s.member(Family.BETA, 2, 3)
+    sigma_poly, sigma_root = s.member(Family.SIGMA, 1, 4)
     shared = poly_gcd(beta_poly, sigma_poly)
-    has_factor = shared.degree is not None and shared.degree >= 1
-    yield _exact(has_factor)
-    if not has_factor:
-        return
-    enc = spectral.largest_real_root(shared, Fraction(1), s.tol, s.prec)
-    bound = Fraction(10)
-    for f in (beta_poly, sigma_poly):
-        chain = spectral.sturm_chain(squarefree_part(f))
-        above = spectral.count_roots_between(chain, enc.upper, bound)
-        inside = spectral.count_roots_between(chain, enc.lower, enc.upper)
-        yield _exact(above == 0 and inside == 1)
+    for root in (beta_root, sigma_root):
+        yield _exact(shared.sign_at(root.lower) * shared.sign_at(root.upper) < 0)
 
 
 def _singularity_balance(s: _Session) -> Iterator[Margin]:

@@ -278,3 +278,90 @@ def test_argparse_rejects_unknown_family(capsys):
         cli.main(["dilatation", "gamma", "1", "1"])
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+# -- pinned bytes of the output-format paths ------------------------------------
+
+
+def _base_file(tmp_path, coeffs):
+    base = tmp_path / "base.txt"
+    base.write_text(coeffs + "\n")
+    return str(base)
+
+
+def test_salem_boyd_json_is_the_default(run_cli, tmp_path):
+    proc = run_cli("salem-boyd", _base_file(tmp_path, "-2,-1,1"), "2")
+    assert proc.returncode == 0
+    assert proc.stdout == (
+        '{"n":0,"mahler":1.0,"lambda":-1.0,"outside":0,"on_circle":2}\n'
+        '{"n":1,"mahler":3.732050808,"lambda":3.732050808,"outside":1,"on_circle":1}\n'
+        '{"n":2,"mahler":2.618033989,"lambda":2.618033989,"outside":1,"on_circle":2}\n'
+        '{"n":"base","mahler":2.0,"lambda":2.0,"outside":1,"on_circle":1}\n'
+    )
+
+
+def test_salem_boyd_zero_and_constant_rows(run_cli, tmp_path):
+    # base 1, minus sign: q_0 = 0 and the base itself are constant, so every cell is empty
+    base = _base_file(tmp_path, "1")
+    proc = run_cli("salem-boyd", base, "2", "--sign", "minus")
+    assert proc.returncode == 0
+    assert proc.stdout == (
+        '{"n":0,"mahler":null,"lambda":null,"outside":null,"on_circle":null}\n'
+        '{"n":1,"mahler":1.0,"lambda":1.0,"outside":0,"on_circle":1}\n'
+        '{"n":2,"mahler":1.0,"lambda":1.0,"outside":0,"on_circle":2}\n'
+        '{"n":"base","mahler":null,"lambda":null,"outside":null,"on_circle":null}\n'
+    )
+    proc = run_cli("salem-boyd", base, "2", "--sign", "minus", "--csv")
+    assert proc.stdout == "n,mahler,lambda,outside,on_circle\n0,,,,\n1,1,1,0,1\n2,1,1,0,2\nbase,,,,\n"
+
+
+def test_salem_boyd_row_without_a_real_root(run_cli, tmp_path):
+    proc = run_cli("salem-boyd", _base_file(tmp_path, "1,0,1"), "2")
+    assert proc.returncode == 0
+    assert proc.stdout == (
+        '{"n":0,"mahler":2.0,"lambda":null,"outside":0,"on_circle":2}\n'
+        '{"n":1,"mahler":1.0,"lambda":-1.0,"outside":0,"on_circle":3}\n'
+        '{"n":2,"mahler":1.0,"lambda":null,"outside":0,"on_circle":4}\n'
+        '{"n":"base","mahler":1.0,"lambda":null,"outside":0,"on_circle":2}\n'
+    )
+
+
+def test_table_json_rows(run_cli):
+    proc = run_cli("table", "sigma", "2..2", "2..4")
+    assert proc.returncode == 0
+    assert proc.stdout == (
+        '{"family":"sigma","m":2,"n":2,"tn_class":"periodic","poly":null,"root":null,"provenance":null}\n'
+        '{"family":"sigma","m":2,"n":3,"tn_class":"reducible","poly":null,"root":null,"provenance":null}\n'
+        '{"family":"sigma","m":2,"n":4,"tn_class":"pseudo_anosov","poly":[-1,1,0,2,0,-2,0,-1,1],'
+        '"root":{"lower":"1573645127/1073741824","upper":"196705641/134217728","witness":1.465571232},'
+        '"provenance":"both_agree"}\n'
+    )
+
+
+def test_dilatation_csv_row(run_cli):
+    proc = run_cli("dilatation", "sigma", "3", "40", "--csv")
+    assert proc.returncode == 0
+    assert proc.stdout == "sigma,3,40,pseudo_anosov,1.543688983,0.4341749957\n"
+
+
+def test_range_and_n_max_below_bounds_exit_2(run_cli, tmp_path):
+    proc = run_cli("table", "beta", "0..2", "1..3")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: range endpoints must be >= 1\n")
+    proc = run_cli("salem-boyd", _base_file(tmp_path, "-2,-1,1"), "-1")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: n_max must be >= 0\n")
+
+
+@pytest.mark.parametrize("argv", [["verify", "--csv"], ["horseshoe", "10010", "--format", "csv"]])
+def test_format_flags_only_where_they_act(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_last_format_flag_wins(run_cli):
+    json_row = run_cli("dilatation", "sigma", "1", "3").stdout
+    csv_row = "sigma,1,3,pseudo_anosov,1.722083806,0.5435350725\n"
+    assert run_cli("dilatation", "sigma", "1", "3", "--csv", "--format", "json").stdout == json_row
+    assert run_cli("dilatation", "sigma", "1", "3", "--format", "json", "--csv").stdout == csv_row
+    assert run_cli("dilatation", "sigma", "1", "3", "--format", "csv").stdout == csv_row

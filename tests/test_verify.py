@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from pabraid import families, verify
+from pabraid.poly import IntPolynomial
 from pabraid.spectral import RootEnclosure, to_witness
 
 
@@ -54,6 +55,13 @@ def test_failed_minimizer_certificate_fails_with_positive_slack(monkeypatch):
     passed, worst_margin = verify._fold(verify._minimizer_bounds(session))
     assert not passed
     assert worst_margin > 0
+
+
+def test_equality_case_without_a_real_shared_root_fails(monkeypatch):
+    # t^2 + 1 has no real root, so it changes sign across neither enclosure
+    monkeypatch.setattr(verify, "poly_gcd", lambda f, g: IntPolynomial([1, 0, 1]))
+    session = verify._Session(verify._DEPTHS["quick"], 1e-9)
+    assert verify._fold(verify._min_equality_case(session)) == (False, -1.0)
 
 
 def test_registry_ids_are_unique():
