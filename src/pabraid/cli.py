@@ -27,9 +27,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_ORACLE_MISMATCH = 3
 
-# below double precision the polished witness can fall outside its enclosure
-_MIN_PRECISION_BITS = 53
-
 _CSV_HEADER = "family,m,n,class,lambda,log_lambda"
 
 
@@ -88,12 +85,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def _check_common_flags(args) -> None:
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError(f"--tol must be positive and finite, got {args.tol}")
-    if not _MIN_PRECISION_BITS <= args.precision <= spectral._MAX_PREC_BITS:
+    if not spectral.MIN_PREC_BITS <= args.precision <= spectral.MAX_PREC_BITS:
         raise ValueError(
-            f"--precision must be {_MIN_PRECISION_BITS} to {spectral._MAX_PREC_BITS} bits, got {args.precision}"
+            f"--precision must be {spectral.MIN_PREC_BITS} to {spectral.MAX_PREC_BITS} bits, got {args.precision}"
         )
 
 
@@ -224,7 +224,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         _check_common_flags(args)
         return _COMMANDS[args.command](args)

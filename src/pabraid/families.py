@@ -24,7 +24,6 @@ transcription bug.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, replace
 from decimal import Context
 from fractions import Fraction
@@ -330,7 +329,6 @@ class MinimizerReport:
     lower_bound_ok: bool
     upper_bound_ok: bool
     core_residual: float
-    power_identity_residual: float
 
 
 def _core_poly(g: int) -> IntPolynomial:
@@ -375,9 +373,8 @@ def minimizer(
     core changes sign across the certified enclosure, and that the enclosure
     lies strictly inside ``((2+sqrt 3)^(1/(g+1)), (2+sqrt 3)^(1/g))`` by exact
     rational arithmetic (re-isolating at most three times, at ``tol / 100``
-    each time).  Also reports the residual of the core polynomial and of the
-    identity ``a = sqrt b``, ``a = x^(g+1) - x - 1``, ``b = x^2 + x + 1``, at
-    the witness: the first exactly, the second as ``|a^2 - b| / (a + sqrt b)``.
+    each time).  Also reports the exact residual of the core polynomial at the
+    witness.
 
     The transition-matrix cross-check runs only for ``g <= 8``, where the
     exact characteristic polynomial is cheap; the matrix route is exercised
@@ -402,8 +399,6 @@ def minimizer(
         upper_ok = _certifies_upper_bound(result.root.upper, g)
 
     sign_ok = core.sign_at(result.root.lower) * core.sign_at(result.root.upper) < 0
-    w = result.root.witness
-    a, b = w ** (g + 1) - w - 1, w * w + w + 1
     return MinimizerReport(
         g=g,
         result=result,
@@ -411,6 +406,5 @@ def minimizer(
         core_sign_change_ok=sign_ok,
         lower_bound_ok=lower_ok,
         upper_bound_ok=upper_ok,
-        core_residual=float(abs(core(w))),
-        power_identity_residual=float(abs(a * a - b)) / (float(a) + math.sqrt(b)),
+        core_residual=float(abs(core(result.root.witness))),
     )

@@ -15,9 +15,12 @@ Two independent routes coexist deliberately and must stay independent:
   (the families here genuinely have double roots at -1) are located at full
   accuracy with exact integer multiplicities.  One Gauss-Seidel sweep
   routine, which freezes converged roots, serves both the double-precision
-  warm start and the fixed-point integer refinement.  Each approximation is
-  an exact dyadic pair with the Newton residual of its last evaluation: the
-  census compares moduli exactly, the Mahler measure is a fixed-point product.
+  warm start and the fixed-point integer refinement.  The refinement starts
+  at ``max(prec, bits its residual target needs)`` and, while a residual
+  misses, carries the roots it has to doubled precision (capped at 1024
+  bits) instead of starting over.  Each approximation is an exact dyadic
+  pair with the Newton residual of its last evaluation: the census compares
+  moduli exactly, the Mahler measure is a fixed-point product.
 
 :func:`sturm_chain` and :func:`count_roots_between` are a second exact root
 counter that no runtime code calls: every enclosure comes from Descartes
@@ -31,7 +34,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, isqrt, lcm
+from math import frexp, inf, isqrt, lcm
 from typing import Sequence
 
 from .poly import (
@@ -43,7 +46,9 @@ from .poly import (
 )
 
 DEFAULT_PREC_BITS = 128
-_MAX_PREC_BITS = 1024
+# below double precision the polished witness can fall outside its enclosure
+MIN_PREC_BITS = 53
+MAX_PREC_BITS = 1024
 
 
 class NoRealRootError(ValueError):
@@ -374,12 +379,14 @@ def _to_fixed(x: float, bits: int) -> int:
     return (num << bits) // den
 
 
-def _factor_roots(factor: IntPolynomial, prec: int) -> list[tuple[Fraction, Fraction, Fraction | float]]:
-    """Roots ``(re, im, residual)`` of one squarefree factor at ``prec`` bits:
-    a double warm start on the circle of radius ``|c0/cd|^(1/d)``, then a
-    refinement at ``(a + bi) / 2^(prec + 32)`` with integer ``a, b`` (one
-    exact Horner pass for ``p`` and ``p'``; with integer coefficients its
-    error is below a ``prec``-bit floating Horner bound)."""
+def _factor_roots(factor: IntPolynomial, precision: float, prec: int):
+    """Roots ``(re, im, residual)`` of one squarefree factor, each residual
+    below ``precision``: a double warm start on the circle of radius
+    ``|c0/cd|^(1/d)``, then a refinement at ``(a + bi) / 2^(prec + 32)`` with
+    integer ``a, b`` (one exact Horner pass for ``p`` and ``p'``; with integer
+    coefficients its error is below a ``prec``-bit floating Horner bound).
+    While a residual misses, ``a, b`` are shifted left and refined on at
+    doubled ``prec``, up to a last pass at :data:`MAX_PREC_BITS`."""
     d = factor.degree
     coeffs = factor.coeffs
     scale = max(abs(c) for c in coeffs)
@@ -406,7 +413,6 @@ def _factor_roots(factor: IntPolynomial, prec: int) -> list[tuple[Fraction, Frac
 
     bits = prec + 32
     one = 1 << bits
-    tiny = 2.0 ** (16 - prec)
     fixed = [[_to_fixed(z.real, bits), _to_fixed(z.imag, bits)] for z in zs]
     newton: list = [None] * d
 
@@ -427,10 +433,16 @@ def _factor_roots(factor: IntPolynomial, prec: int) -> list[tuple[Fraction, Frac
         fixed[i] = [a - wr - _to_fixed(excess.real, bits), b - wi - _to_fixed(excess.imag, bits)]
         return complex(fixed[i][0] / one, fixed[i][1] / one), abs(w + excess) / (1 + abs(zs[i]))
 
-    _aberth(refine, zs, tiny, 120)
-    return [(Fraction(a, one), Fraction(b, one),
-             inf if w is None else Fraction(isqrt(w[0] ** 2 + w[1] ** 2) + 1, one))
-            for (a, b), w in zip(fixed, newton)]
+    while True:
+        _aberth(refine, zs, 2.0 ** (16 - prec), 120)
+        residuals = [inf if w is None else Fraction(isqrt(w[0] ** 2 + w[1] ** 2) + 1, one) for w in newton]
+        if all(r < precision for r in residuals):
+            return [(Fraction(a, one), Fraction(b, one), r) for (a, b), r in zip(fixed, residuals)]
+        if prec >= MAX_PREC_BITS:
+            raise ConvergenceError(f"residuals above {precision} even at {MAX_PREC_BITS} bits")
+        grow = min(2 * prec, MAX_PREC_BITS) - prec
+        prec, bits, one = prec + grow, bits + grow, one << grow
+        fixed = [[a << grow, b << grow] for a, b in fixed]
 
 
 def all_roots(
@@ -444,7 +456,8 @@ def all_roots(
     iteration only ever sees simple roots; each located root is emitted once
     per unit of multiplicity, so the list has exactly ``deg f`` entries, in
     no specified order.
-    Iteration restarts at doubled working precision (up to 1024 bits) until
+    Each factor is refined from ``max(prec, bits precision needs)`` working
+    bits, raising the precision of the roots it has (up to 1024 bits) until
     every Newton residual (see :class:`RootApprox`) is below ``precision``;
     failure at the cap raises :class:`ConvergenceError`.
     """
@@ -454,26 +467,11 @@ def all_roots(
         raise ValueError("all_roots needs degree >= 1")
     if precision <= 0:
         raise ValueError("precision must be positive")
-    work = max(prec, 64)
-    while True:
-        result = _all_roots_at(f, precision, work)
-        if result is not None:
-            return result
-        work *= 2
-        if work > _MAX_PREC_BITS:
-            raise ConvergenceError(
-                f"residuals above {precision} even at {_MAX_PREC_BITS} bits"
-            )
-
-
-def _all_roots_at(f: IntPolynomial, precision: float, prec: int):
-    located: list[RootApprox] = []
-    for factor, mult in squarefree_decomposition(f):
-        for real, imag, residual in _factor_roots(factor, prec):
-            if not residual < precision:
-                return None
-            located.append(RootApprox(real, imag, residual, mult))
-    return [r for r in located for _ in range(r.multiplicity)]
+    work = max(prec, min(20 - frexp(precision)[1], MAX_PREC_BITS))
+    return [RootApprox(real, imag, residual, mult)
+            for factor, mult in squarefree_decomposition(f)
+            for real, imag, residual in _factor_roots(factor, precision, work)
+            for _ in range(mult)]
 
 
 # -- derived quantities ------------------------------------------------------

@@ -300,6 +300,59 @@ def test_salem_boyd_json_is_the_default(run_cli, tmp_path):
     )
 
 
+# below the 79 bits their 1e-18 target needs, root sets start at those bits
+_SB_JSON_53 = (
+    '{"n":0,"mahler":1.0,"lambda":-1.0,"outside":0,"on_circle":2}\n'
+    '{"n":1,"mahler":3.732050808,"lambda":3.732050808,"outside":1,"on_circle":1}\n'
+    '{"n":2,"mahler":2.618033989,"lambda":2.618033989,"outside":1,"on_circle":2}\n'
+    '{"n":3,"mahler":2.296630263,"lambda":2.296630263,"outside":1,"on_circle":3}\n'
+    '{"n":4,"mahler":2.153721376,"lambda":2.153721376,"outside":1,"on_circle":4}\n'
+    '{"n":5,"mahler":2.081018997,"lambda":2.081018997,"outside":1,"on_circle":5}\n'
+    '{"n":6,"mahler":2.042490534,"lambda":2.042490534,"outside":1,"on_circle":6}\n'
+    '{"n":7,"mahler":2.022026443,"lambda":2.022026443,"outside":1,"on_circle":7}\n'
+    '{"n":8,"mahler":2.011287151,"lambda":2.011287151,"outside":1,"on_circle":8}\n'
+    '{"n":9,"mahler":2.005732198,"lambda":2.005732198,"outside":1,"on_circle":9}\n'
+    '{"n":10,"mahler":2.002893211,"lambda":2.002893211,"outside":1,"on_circle":10}\n'
+    '{"n":11,"mahler":2.001454585,"lambda":2.001454585,"outside":1,"on_circle":11}\n'
+    '{"n":12,"mahler":2.000729578,"lambda":2.000729578,"outside":1,"on_circle":12}\n'
+    '{"n":13,"mahler":2.000365431,"lambda":2.000365431,"outside":1,"on_circle":13}\n'
+    '{"n":14,"mahler":2.000182894,"lambda":2.000182894,"outside":1,"on_circle":14}\n'
+    '{"n":15,"mahler":2.000091496,"lambda":2.000091496,"outside":1,"on_circle":15}\n'
+    '{"n":16,"mahler":2.000045761,"lambda":2.000045761,"outside":1,"on_circle":16}\n'
+    '{"n":17,"mahler":2.000022884,"lambda":2.000022884,"outside":1,"on_circle":17}\n'
+    '{"n":18,"mahler":2.000011443,"lambda":2.000011443,"outside":1,"on_circle":18}\n'
+    '{"n":19,"mahler":2.000005722,"lambda":2.000005722,"outside":1,"on_circle":19}\n'
+    '{"n":20,"mahler":2.000002861,"lambda":2.000002861,"outside":1,"on_circle":20}\n'
+    '{"n":"base","mahler":2.0,"lambda":2.0,"outside":1,"on_circle":1}\n'
+)
+_SB_CSV_64_MINUS = (
+    'n,mahler,lambda,outside,on_circle\n'
+    '0,3,1,0,4\n'
+    '1,1,1,0,5\n'
+    '2,2.369205407,1,2,2\n'
+    '3,1,1,0,7\n'
+    '4,1,1,0,8\n'
+    '5,1,1,0,9\n'
+    '6,2.089487196,1.343719996,3,4\n'
+    '7,2.174139135,1.435734065,3,5\n'
+    '8,1.883972166,1.481196009,3,6\n'
+    '9,1.50613568,1.50613568,1,11\n'
+    '10,2.084934689,1.520588269,3,8\n'
+    '11,2.181325586,1.529255134,3,9\n'
+    '12,2.103728741,1.534572969,3,10\n'
+    'base,2,1.543689013,3,1\n'
+)
+
+
+@pytest.mark.parametrize("coeffs, flags, expected", [
+    ("-2,-1,1", ["20", "--precision", "53"], _SB_JSON_53),
+    ("-2,0,0,-1,1", ["12", "--precision", "64", "--sign", "minus", "--csv"], _SB_CSV_64_MINUS),
+])
+def test_salem_boyd_below_the_target_bits_is_pinned(run_cli, tmp_path, coeffs, flags, expected):
+    proc = run_cli("salem-boyd", _base_file(tmp_path, coeffs), *flags)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
+
+
 def test_salem_boyd_zero_and_constant_rows(run_cli, tmp_path):
     # base 1, minus sign: q_0 = 0 and the base itself are constant, so every cell is empty
     base = _base_file(tmp_path, "1")

@@ -371,7 +371,6 @@ def test_minimizer_residuals_tiny():
         residual = abs(lam**5 - 2 * lam**3 - 2 * lam**2 + 1)
     assert float(residual) <= 1e-8
     assert report.core_residual <= 1e-8
-    assert report.power_identity_residual <= 1e-8
 
 
 def test_minimizer_rejects_small_g():

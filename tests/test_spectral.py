@@ -7,10 +7,12 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from pabraid import spectral
 from pabraid.families import r_matrix, r_poly
 from pabraid.linalg import perron_root
 from pabraid.poly import IntPolynomial, SalemBoydSpec, Sign, cauchy_root_bound, salem_boyd, squarefree_part
 from pabraid.spectral import (
+    ConvergenceError,
     NoRealRootError,
     all_roots,
     count_outside_unit,
@@ -209,6 +211,56 @@ def test_all_roots_with_widely_spread_moduli():
     values = sorted((complex(r.value) for r in all_roots(f)), key=lambda z: (z.real, z.imag))
     expected = [-1j, 1j, 0.001, 1000]
     assert all(abs(v - e) <= 1e-20 * (1 + abs(e)) for v, e in zip(values, expected))
+
+
+# degree 22: a squarefree factor of degree 20 times (t + 1)^2
+SB20 = salem_boyd(SalemBoydSpec(R1, 20, Sign.PLUS))
+
+
+@pytest.fixture
+def aberth_passes(monkeypatch):
+    """Records each Aberth pass as (stage, freeze threshold); ``cut[stage]``
+    caps the sweeps of that stage's first pass."""
+    aberth, passes, cut = spectral._aberth, [], {}
+
+    def recorded(step, zs, tiny, iters):
+        first = step.__name__ not in [stage for stage, _ in passes]
+        passes.append((step.__name__, tiny))
+        aberth(step, zs, tiny, min(iters, cut.get(step.__name__, iters)) if first else iters)
+
+    monkeypatch.setattr(spectral, "_aberth", recorded)
+    return passes, cut
+
+
+def test_all_roots_decomposes_once_below_the_bits_its_target_needs(monkeypatch):
+    # at 53 bits the 1e-18 target needs more; the start takes those bits
+    # instead of retrying the whole root set
+    decompose, calls = spectral.squarefree_decomposition, []
+    monkeypatch.setattr(spectral, "squarefree_decomposition", lambda f: calls.append(f) or decompose(f))
+    roots = all_roots(SB20, 1e-18, 53)
+    assert len(calls) == 1
+    assert len(roots) == SB20.degree and all(r.residual < 1e-18 for r in roots)
+
+
+def test_all_roots_escalates_in_place(aberth_passes):
+    passes, cut = aberth_passes
+    cut["refine"] = 1  # the first refinement pass stops after one sweep
+    roots = all_roots(SB20, 1e-20)
+    assert all(r.residual < 1e-20 for r in roots)
+    stages = [stage for stage, _ in passes]
+    assert stages.count("warm") == 2  # one per squarefree factor
+    assert stages[:3] == ["warm", "refine", "refine"]  # escalated, not restarted
+    assert passes[2][1] == 2.0 ** (16 - 256)
+
+
+@pytest.mark.parametrize("prec", [128, 200])
+def test_all_roots_fails_only_after_a_pass_at_the_cap(aberth_passes, prec):
+    # two real roots about 1.4e-22 apart near 1/100 converge to one point
+    passes, _ = aberth_passes
+    f = IntPolynomial([-2, 400, -20000] + [0] * 17 + [1])  # t^20 - 2 (100 t - 1)^2
+    with pytest.raises(ConvergenceError, match="residuals above 1e-23 even at 1024 bits"):
+        all_roots(f, 1e-23, prec)
+    assert passes[-1] == ("refine", 2.0 ** (16 - 1024))
 
 
 @pytest.mark.parametrize(
