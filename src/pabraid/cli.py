@@ -37,7 +37,7 @@ def _dumps(obj) -> str:
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=1e-9, help="enclosure width target (default 1e-9)")
     parser.add_argument("--precision", type=int, default=128, metavar="BITS",
-                        help="working precision for witnesses and root sets (default 128, 53 to 1024)")
+                        help="significant bits of each printed witness (default 128, 53 to 1024)")
 
 
 def _format_flags(parser: argparse.ArgumentParser) -> None:
@@ -159,8 +159,8 @@ def _salem_boyd_row(f: IntPolynomial, args) -> dict:
     row: dict = {"n": None, "mahler": None, "lambda": None, "outside": None, "on_circle": None}
     if f.is_zero() or f.degree == 0:
         return row
-    row["mahler"] = format_float(mahler_measure(f, tol=min(args.tol, 1e-8), prec=args.precision))
-    census = count_outside_unit(f, tol=1e-9, prec=args.precision)
+    row["mahler"] = format_float(mahler_measure(f, tol=min(args.tol, 1e-8)))
+    census = count_outside_unit(f, tol=1e-9)
     row["outside"] = census.outside
     row["on_circle"] = census.on_circle
     try:

@@ -67,13 +67,6 @@ class FamilyParams:
         if self.m < 1 or self.n < 1:
             raise ValueError("family parameters require m >= 1 and n >= 1")
 
-    @property
-    def g(self) -> int:
-        """Half of ``m + n``; defined only when the sum is even."""
-        if (self.m + self.n) % 2 != 0:
-            raise ValueError(f"g undefined: m + n = {self.m + self.n} is odd")
-        return (self.m + self.n) // 2
-
 
 def classify(params: FamilyParams) -> TNKind:
     """Thurston-Nielsen type.  The beta family is pseudo-Anosov for every

@@ -36,16 +36,6 @@ class IntMatrix:
         self.dim = n
         self.entries: tuple[tuple[int, ...], ...] = tuple(rows)
 
-    @classmethod
-    def from_json_data(cls, data: dict) -> "IntMatrix":
-        m = cls(data["entries"])
-        if m.dim != data.get("dim", m.dim):
-            raise ValueError("declared dim does not match entries")
-        return m
-
-    def to_json_data(self) -> dict:
-        return {"dim": self.dim, "entries": [list(r) for r in self.entries]}
-
     def __eq__(self, other) -> bool:
         return isinstance(other, IntMatrix) and self.entries == other.entries
 
@@ -62,9 +52,6 @@ class IntMatrix:
 
     def is_nonnegative(self) -> bool:
         return all(x >= 0 for row in self.entries for x in row)
-
-    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "IntMatrix":
-        return IntMatrix([[self.entries[i][j] for j in cols] for i in rows])
 
 
 def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:

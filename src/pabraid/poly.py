@@ -19,7 +19,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 #: Largest integer that survives a round trip through a 64-bit JSON float.
 _JSON_SAFE_INT = 2**53 - 1
@@ -53,23 +53,12 @@ class IntPolynomial:
         return cls([1])
 
     @classmethod
-    def monomial(cls, coefficient: int, power: int) -> "IntPolynomial":
-        if power < 0:
-            raise ValueError("power must be nonnegative")
-        return cls([0] * power + [coefficient])
-
-    @classmethod
     def from_text(cls, text: str) -> "IntPolynomial":
         """Parse the comma-separated ascending coefficient format, e.g. ``"-2,-1,1"``."""
         body = text.replace("−", "-").strip()
         if not body:
             return cls()
         return cls([int(part.strip()) for part in body.split(",")])
-
-    @classmethod
-    def from_json_data(cls, data: Sequence) -> "IntPolynomial":
-        """Accept a JSON array of integers, with strings for values beyond 53 bits."""
-        return cls([int(c) for c in data])
 
     # -- basic queries -------------------------------------------------
 
@@ -205,11 +194,6 @@ class IntPolynomial:
         return IntPolynomial([int(q) for q in quo])
 
     # -- serialization ---------------------------------------------------
-
-    def to_text(self) -> str:
-        if self.is_zero():
-            return "0"
-        return ",".join(str(c) for c in self.coeffs)
 
     def to_json_data(self) -> list:
         return [c if abs(c) <= _JSON_SAFE_INT else str(c) for c in self.coeffs]

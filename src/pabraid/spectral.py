@@ -16,11 +16,13 @@ Two independent routes coexist deliberately and must stay independent:
   accuracy with exact integer multiplicities.  One Gauss-Seidel sweep
   routine, which freezes converged roots, serves both the double-precision
   warm start and the fixed-point integer refinement.  The refinement starts
-  at ``max(prec, bits its residual target needs)`` and, while a residual
-  misses, carries the roots it has to doubled precision (capped at 1024
-  bits) instead of starting over.  Each approximation is an exact dyadic
-  pair with the Newton residual of its last evaluation: the census compares
-  moduli exactly, the Mahler measure is a fixed-point product.
+  at the bits its residual target needs and, while a residual misses,
+  carries the roots it has to doubled precision (capped at 1024 bits)
+  instead of starting over.  Each approximation is an exact dyadic pair
+  with the Newton residual of its last evaluation: the census compares
+  moduli exactly, the Mahler measure is a fixed-point product at the bits
+  of its root set.  No caller picks these bits: the accuracy asked for
+  sets them, and ``prec`` rounds the witnesses of the exact route alone.
 
 :func:`sturm_chain` and :func:`count_roots_between` are a second exact root
 counter that no runtime code calls: every enclosure comes from Descartes
@@ -379,14 +381,21 @@ def _to_fixed(x: float, bits: int) -> int:
     return (num << bits) // den
 
 
-def _factor_roots(factor: IntPolynomial, precision: float, prec: int):
+def _target_bits(target: float) -> int:
+    """Working bits for a residual or accuracy ``target``: 79 for 1e-18,
+    96 for 1e-23, clamped to ``MIN_PREC_BITS..MAX_PREC_BITS``."""
+    return min(max(20 - frexp(target)[1], MIN_PREC_BITS), MAX_PREC_BITS)
+
+
+def _factor_roots(factor: IntPolynomial, precision: float):
     """Roots ``(re, im, residual)`` of one squarefree factor, each residual
     below ``precision``: a double warm start on the circle of radius
     ``|c0/cd|^(1/d)``, then a refinement at ``(a + bi) / 2^(prec + 32)`` with
-    integer ``a, b`` (one exact Horner pass for ``p`` and ``p'``; with integer
-    coefficients its error is below a ``prec``-bit floating Horner bound).
-    While a residual misses, ``a, b`` are shifted left and refined on at
-    doubled ``prec``, up to a last pass at :data:`MAX_PREC_BITS`."""
+    integer ``a, b`` and ``prec`` the bits ``precision`` needs (one exact
+    Horner pass for ``p`` and ``p'``; with integer coefficients its error is
+    below a ``prec``-bit floating Horner bound).  While a residual misses,
+    ``a, b`` are shifted left and refined on at doubled ``prec``, up to a
+    last pass at :data:`MAX_PREC_BITS`."""
     d = factor.degree
     coeffs = factor.coeffs
     scale = max(abs(c) for c in coeffs)
@@ -411,6 +420,7 @@ def _factor_roots(factor: IntPolynomial, precision: float, prec: int):
     if not all(map(cmath.isfinite, zs)):
         raise ConvergenceError("double-precision warm start diverged")
 
+    prec = _target_bits(precision)
     bits = prec + 32
     one = 1 << bits
     fixed = [[_to_fixed(z.real, bits), _to_fixed(z.imag, bits)] for z in zs]
@@ -445,21 +455,18 @@ def _factor_roots(factor: IntPolynomial, precision: float, prec: int):
         fixed = [[a << grow, b << grow] for a, b in fixed]
 
 
-def all_roots(
-    f: IntPolynomial,
-    precision: float = 1e-20,
-    prec: int = DEFAULT_PREC_BITS,
-) -> list[RootApprox]:
+def all_roots(f: IntPolynomial, precision: float = 1e-20) -> list[RootApprox]:
     """All complex roots of ``f`` with residual bounds and multiplicities.
 
     The polynomial is first split into exact squarefree factors so that the
     iteration only ever sees simple roots; each located root is emitted once
     per unit of multiplicity, so the list has exactly ``deg f`` entries, in
     no specified order.
-    Each factor is refined from ``max(prec, bits precision needs)`` working
-    bits, raising the precision of the roots it has (up to 1024 bits) until
-    every Newton residual (see :class:`RootApprox`) is below ``precision``;
-    failure at the cap raises :class:`ConvergenceError`.
+    Each factor is refined from the working bits ``precision`` needs
+    (``20 - log2 precision``, 79 for 1e-18), raising the precision of the
+    roots it has (up to 1024 bits) until every Newton residual (see
+    :class:`RootApprox`) is below ``precision``; failure at the cap raises
+    :class:`ConvergenceError`.
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no roots")
@@ -467,42 +474,41 @@ def all_roots(
         raise ValueError("all_roots needs degree >= 1")
     if precision <= 0:
         raise ValueError("precision must be positive")
-    work = max(prec, min(20 - frexp(precision)[1], MAX_PREC_BITS))
     return [RootApprox(real, imag, residual, mult)
             for factor, mult in squarefree_decomposition(f)
-            for real, imag, residual in _factor_roots(factor, precision, work)
+            for real, imag, residual in _factor_roots(factor, precision)
             for _ in range(mult)]
 
 
 # -- derived quantities ------------------------------------------------------
 
 
-def mahler_measure(f: IntPolynomial, tol: float = 1e-9, prec: int = DEFAULT_PREC_BITS) -> Fraction:
+def mahler_measure(f: IntPolynomial, tol: float = 1e-9) -> Fraction:
     """``|lc(f)| * prod max(1, |z|)`` over all roots, as a dyadic rational
-    of ``prec`` significant bits (:func:`to_witness`).
+    (:func:`to_witness`) of the significant bits its root set starts at.
 
-    The moduli ``|z| > 1`` are multiplied in fixed point, ``isqrt`` of
-    ``|z|^2`` at ``prec + 32`` fractional bits.  The residual target handed
-    to :func:`all_roots` is several orders below ``tol`` divided by the
-    degree, so the propagated error of the product is below ``tol`` with a
-    wide margin.
+    The residual target handed to :func:`all_roots` is several orders below
+    ``tol`` divided by the degree, so the propagated error of the product is
+    below ``tol`` with a wide margin.  The moduli ``|z| > 1`` are multiplied
+    in fixed point, ``isqrt`` of ``|z|^2`` at 32 fractional bits beyond the
+    bits that target needs, and the product is rounded to those bits.
     """
     if f.is_zero():
         raise ValueError("Mahler measure of the zero polynomial is undefined")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    target = min(1e-18, tol * 1e-4 / (f.degree + 1))
+    prec = _target_bits(target)
     one = 1 << (prec + 32)
     measure = abs(f.leading) * one
-    for r in all_roots(f, min(1e-18, tol * 1e-4 / (f.degree + 1)), prec) if f.degree else []:
+    for r in all_roots(f, target) if f.degree else []:
         square = r.real**2 + r.imag**2
         if square > 1:
             measure = measure * isqrt(square.numerator * one * one // square.denominator) // one
     return to_witness(Fraction(measure, one), prec)
 
 
-def count_outside_unit(
-    f: IntPolynomial, tol: float = 1e-9, prec: int = DEFAULT_PREC_BITS
-) -> UnitCircleCensus:
+def count_outside_unit(f: IntPolynomial, tol: float = 1e-9) -> UnitCircleCensus:
     """Census of roots relative to the unit circle at tolerance ``tol``."""
     if f.is_zero():
         raise ValueError("census of the zero polynomial is undefined")
@@ -510,7 +516,7 @@ def count_outside_unit(
         raise ValueError("tol must be positive")
     near, far = max(0, 1 - Fraction(tol)) ** 2, (1 + Fraction(tol)) ** 2
     outside = on_circle = inside = 0
-    for r in all_roots(f, min(1e-18, tol * 1e-6), prec) if f.degree else []:
+    for r in all_roots(f, min(1e-18, tol * 1e-6)) if f.degree else []:
         square = r.real**2 + r.imag**2
         if near <= square <= far:
             on_circle += 1

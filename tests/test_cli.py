@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pabraid import cli
+from pabraid import cli, spectral
 
 
 @pytest.fixture
@@ -351,6 +351,22 @@ _SB_CSV_64_MINUS = (
 def test_salem_boyd_below_the_target_bits_is_pinned(run_cli, tmp_path, coeffs, flags, expected):
     proc = run_cli("salem-boyd", _base_file(tmp_path, coeffs), *flags)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
+
+
+def test_salem_boyd_root_sets_ignore_the_witness_precision(run_cli, tmp_path, monkeypatch):
+    # --precision rounds witnesses only: a 1e-18 root-set target starts
+    # refining at the 79 bits it needs, not at 1024
+    aberth, thresholds = spectral._aberth, []
+
+    def recorded(step, zs, tiny, iters):
+        if step.__name__ == "refine":
+            thresholds.append(tiny)
+        aberth(step, zs, tiny, iters)
+
+    monkeypatch.setattr(spectral, "_aberth", recorded)
+    proc = run_cli("salem-boyd", _base_file(tmp_path, "-2,-1,1"), "10", "--precision", "1024")
+    assert proc.returncode == 0
+    assert thresholds[0] == 2.0 ** (16 - 79)
 
 
 def test_salem_boyd_zero_and_constant_rows(run_cli, tmp_path):

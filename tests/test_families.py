@@ -54,9 +54,6 @@ def test_params_validation():
         FamilyParams(Family.BETA, 0, 1)
     with pytest.raises(ValueError):
         FamilyParams(Family.SIGMA, 1, -2)
-    assert beta(2, 4).g == 3
-    with pytest.raises(ValueError):
-        _ = beta(2, 3).g
 
 
 # -- core polynomial and matrices ----------------------------------------------
@@ -158,8 +155,7 @@ def test_transition_matrix_beta_1_1_explicit():
 def test_transition_matrix_upper_left_block_is_core():
     mat = transition_matrix(beta(2, 2))
     core = r_matrix(2)
-    block = mat.submatrix(range(3), range(3))
-    assert block == core
+    assert IntMatrix([row[:3] for row in mat.entries[:3]]) == core
 
 
 def test_sigma_matrix_charpoly_equals_closed_form_with_unit_eigenvalue():
@@ -181,9 +177,10 @@ def test_kernel_vector_examples():
         kernel_vector(2, 3)
 
 
-@pytest.mark.parametrize("m", range(1, 7))
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("m, n", [(1, 1)], ids=["1-1"])
 def test_matrix_oracle_small_grid(m, n):
+    # one fast case outside `verify`; its matrix-vs-closed-form check sweeps
+    # m, n <= 10
     for fam in (Family.BETA, Family.SIGMA):
         p = FamilyParams(fam, m, n)
         if classify(p) is not TNKind.PSEUDO_ANOSOV:

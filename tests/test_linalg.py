@@ -47,7 +47,7 @@ def test_char_poly_agrees_with_bareiss_on_random_dense_matrices():
 def test_char_poly_of_zero_and_identity(d):
     zero = IntMatrix([[0] * d for _ in range(d)])
     identity = IntMatrix([[int(i == j) for j in range(d)] for i in range(d)])
-    assert char_poly(zero) == IntPolynomial.monomial(1, d)
+    assert char_poly(zero) == IntPolynomial([0] * d + [1])
     expected = IntPolynomial.one()
     for _ in range(d):
         expected = expected * IntPolynomial([-1, 1])
@@ -107,15 +107,6 @@ def test_perron_enclosure_contains_largest_real_charpoly_root(m):
     enc = perron_root(mat, 1e-9)
     root = largest_real_root(char_poly(mat), Fraction(1), 1e-10)
     assert enc.lower <= root.upper and root.lower <= enc.upper
-
-
-def test_matrix_json_round_trip():
-    mat = r_matrix(2)
-    data = mat.to_json_data()
-    assert data["dim"] == 3
-    assert IntMatrix.from_json_data(data) == mat
-    with pytest.raises(ValueError):
-        IntMatrix.from_json_data({"dim": 4, "entries": [[1]]})
 
 
 def test_matrix_validation():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -208,7 +209,8 @@ def test_all_roots_with_zero_constant_term():
 
 def test_all_roots_with_widely_spread_moduli():
     f = IntPolynomial([-1000, 1]) * IntPolynomial([-1, 1000]) * IntPolynomial([1, 0, 1])
-    values = sorted((complex(r.value) for r in all_roots(f)), key=lambda z: (z.real, z.imag))
+    # +-1j differ in their real parts' noise only, so sort those as equal
+    values = sorted((complex(r.value) for r in all_roots(f)), key=lambda z: (round(z.real, 12), z.imag))
     expected = [-1j, 1j, 0.001, 1000]
     assert all(abs(v - e) <= 1e-20 * (1 + abs(e)) for v, e in zip(values, expected))
 
@@ -233,11 +235,11 @@ def aberth_passes(monkeypatch):
 
 
 def test_all_roots_decomposes_once_below_the_bits_its_target_needs(monkeypatch):
-    # at 53 bits the 1e-18 target needs more; the start takes those bits
-    # instead of retrying the whole root set
+    # the start takes the bits the 1e-18 target needs instead of retrying
+    # the whole root set
     decompose, calls = spectral.squarefree_decomposition, []
     monkeypatch.setattr(spectral, "squarefree_decomposition", lambda f: calls.append(f) or decompose(f))
-    roots = all_roots(SB20, 1e-18, 53)
+    roots = all_roots(SB20, 1e-18)
     assert len(calls) == 1
     assert len(roots) == SB20.degree and all(r.residual < 1e-18 for r in roots)
 
@@ -250,16 +252,20 @@ def test_all_roots_escalates_in_place(aberth_passes):
     stages = [stage for stage, _ in passes]
     assert stages.count("warm") == 2  # one per squarefree factor
     assert stages[:3] == ["warm", "refine", "refine"]  # escalated, not restarted
-    assert passes[2][1] == 2.0 ** (16 - 256)
+    assert passes[1][1] == 2.0 ** (16 - 86)  # the bits 1e-20 needs
+    assert passes[2][1] == 2.0 ** (16 - 172)
 
 
-@pytest.mark.parametrize("prec", [128, 200])
-def test_all_roots_fails_only_after_a_pass_at_the_cap(aberth_passes, prec):
-    # two real roots about 1.4e-22 apart near 1/100 converge to one point
+@pytest.mark.parametrize("bits", [128, 200])
+def test_all_roots_fails_only_after_a_pass_at_the_cap(aberth_passes, bits):
+    # two real roots about 1.4e-22 apart near 1/100 converge to one point;
+    # from 128 bits the doubling lands on 1024, from 200 it is clamped there
     passes, _ = aberth_passes
+    target = 2.0 ** (19 - bits)  # the finest target that starts at `bits`
     f = IntPolynomial([-2, 400, -20000] + [0] * 17 + [1])  # t^20 - 2 (100 t - 1)^2
-    with pytest.raises(ConvergenceError, match="residuals above 1e-23 even at 1024 bits"):
-        all_roots(f, 1e-23, prec)
+    with pytest.raises(ConvergenceError, match=re.escape(f"residuals above {target} even at 1024 bits")):
+        all_roots(f, target)
+    assert passes[1] == ("refine", 2.0 ** (16 - bits))
     assert passes[-1] == ("refine", 2.0 ** (16 - 1024))
 
 
@@ -289,6 +295,13 @@ def test_all_roots_validation():
 def test_mahler_measure_simple_values():
     assert float(mahler_measure(IntPolynomial([-1, 1]))) == pytest.approx(1.0, abs=1e-12)
     assert float(mahler_measure(T11)) == pytest.approx(2.618034, abs=1e-6)
+
+
+@pytest.mark.parametrize("tol", [1e-45, 1e-60])
+def test_mahler_measure_meets_a_fine_tol(tol):
+    # M(t^2 - t - 1) is the golden ratio, the root of M^2 - M - 1
+    m = mahler_measure(IntPolynomial([-1, -1, 1]), tol)
+    assert abs(m * m - m - 1) < tol
 
 
 def test_census_examples():
