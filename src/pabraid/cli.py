@@ -17,7 +17,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import families, horseshoe, spectral
+from . import families, horseshoe
 from .families import Family, FamilyParams, OracleMismatchError, format_float
 from .poly import IntPolynomial, SalemBoydSpec, Sign, salem_boyd
 from .spectral import ConvergenceError, NoRealRootError, largest_real_root, mahler_measure, count_outside_unit
@@ -36,8 +36,6 @@ def _dumps(obj) -> str:
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=1e-9, help="enclosure width target (default 1e-9)")
-    parser.add_argument("--precision", type=int, default=128, metavar="BITS",
-                        help="significant bits of each printed witness (default 128, 53 to 1024)")
 
 
 def _format_flags(parser: argparse.ArgumentParser) -> None:
@@ -91,10 +89,6 @@ _PARSER = _build_parser()
 def _check_common_flags(args) -> None:
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError(f"--tol must be positive and finite, got {args.tol}")
-    if not spectral.MIN_PREC_BITS <= args.precision <= spectral.MAX_PREC_BITS:
-        raise ValueError(
-            f"--precision must be {spectral.MIN_PREC_BITS} to {spectral.MAX_PREC_BITS} bits, got {args.precision}"
-        )
 
 
 def _parse_range(text: str) -> range:
@@ -115,7 +109,7 @@ def _print_result(result: families.DilatationResult, fmt: str) -> None:
 
 def _cmd_dilatation(args) -> int:
     params = FamilyParams(Family(args.family), args.m, args.n)
-    _print_result(families.dilatation(params, args.tol, args.precision), args.format)
+    _print_result(families.dilatation(params, args.tol), args.format)
     return EXIT_OK
 
 
@@ -127,7 +121,7 @@ def _cmd_table(args) -> int:
         print(_CSV_HEADER)
     for m in m_range:
         for n in n_range:
-            _print_result(families.dilatation(FamilyParams(family, m, n), args.tol, args.precision), args.format)
+            _print_result(families.dilatation(FamilyParams(family, m, n), args.tol), args.format)
     return EXIT_OK
 
 
@@ -164,7 +158,7 @@ def _salem_boyd_row(f: IntPolynomial, args) -> dict:
     row["outside"] = census.outside
     row["on_circle"] = census.on_circle
     try:
-        enc = largest_real_root(f, None, args.tol, args.precision)
+        enc = largest_real_root(f, None, args.tol)
         row["lambda"] = format_float(enc.witness)
     except NoRealRootError:
         pass
@@ -190,7 +184,7 @@ def _emit_sb_row(row: dict, fmt: str) -> None:
 def _cmd_verify(args) -> int:
     from . import verify  # the check registry loads only for this command
 
-    report = verify.run_verify(args.depth, args.tol, args.precision)
+    report = verify.run_verify(args.depth, args.tol)
     print(_dumps(report.to_json_data()))
     return EXIT_OK if report.passed == report.total else EXIT_CHECK_FAILED
 
@@ -206,9 +200,7 @@ def _cmd_horseshoe(args) -> int:
     }
     if match is not None:
         data["family"] = {"m": match.m, "n": match.n, "form": match.form}
-        result = families.dilatation(
-            FamilyParams(Family.SIGMA, match.m, match.n), args.tol, args.precision
-        )
+        result = families.dilatation(FamilyParams(Family.SIGMA, match.m, match.n), args.tol)
         data["lambda"] = format_float(result.root.witness)
     print(_dumps(data))
     return EXIT_OK

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from . import linalg
 from .poly import IntPolynomial, SalemBoydSpec, Sign, salem_boyd
-from .spectral import DEFAULT_PREC_BITS, RootEnclosure, largest_real_root
+from .spectral import RootEnclosure, largest_real_root
 
 
 class Family(enum.Enum):
@@ -226,7 +226,6 @@ class DilatationResult:
 def dilatation(
     params: FamilyParams,
     tol: float = 1e-9,
-    prec: int = DEFAULT_PREC_BITS,
     cross_validate: bool = True,
 ) -> DilatationResult:
     """Dilatation of a family member as a certified enclosure.
@@ -241,7 +240,7 @@ def dilatation(
     if kind is not TNKind.PSEUDO_ANOSOV:
         return DilatationResult(params, kind, None, None, None)
     poly = closed_form_poly(params)
-    root = largest_real_root(poly, 1, tol, prec)
+    root = largest_real_root(poly, 1, tol)
     provenance = Provenance.CLOSED_FORM
     if cross_validate:
         if linalg.char_poly(transition_matrix(params)) != poly:
@@ -283,17 +282,15 @@ def singularity_data(params: FamilyParams) -> SingularityData:
     ``(m+1)``- and an ``(n+1)``-pronged interior fixed point.  Sigma (with
     ``n > m`` after normalisation): 1-pronged marked points, an
     ``(m+1)``-pronged fixed point, and an ``n``-pronged point at infinity.
+    The ``singularity-balance`` check of ``pabraid verify`` holds the table
+    to the Euler-Poincare sum.
     """
     _require_pa(params)
     marked = params.m + params.n + 1
     if params.family is Family.BETA:
-        data = SingularityData(1, marked, params.m + 1, params.n + 1, 1)
-    else:
-        m, n = _normalized_sigma(params)
-        data = SingularityData(1, marked, m + 1, None, n)
-    if data.euler_poincare_sum() != 4:
-        raise ArithmeticError("prong table violates the Euler-Poincare balance")
-    return data
+        return SingularityData(1, marked, params.m + 1, params.n + 1, 1)
+    m, n = _normalized_sigma(params)
+    return SingularityData(1, marked, m + 1, None, n)
 
 
 def orientable_lift(params: FamilyParams) -> bool:
@@ -353,11 +350,7 @@ def _certifies_upper_bound(value: Fraction, g: int) -> bool:
     return y * y - 4 * y + 1 < 0
 
 
-def minimizer(
-    g: int,
-    tol: float = 1e-9,
-    prec: int = DEFAULT_PREC_BITS,
-) -> MinimizerReport:
+def minimizer(g: int, tol: float = 1e-9) -> MinimizerReport:
     """Dilatation of the minimal family member for ``m + n = 2g`` (the sigma
     member with parameters ``(g-1, g+1)``), with certificates.
 
@@ -378,7 +371,7 @@ def minimizer(
     params = FamilyParams(Family.SIGMA, g - 1, g + 1)
     core = _core_poly(g)
 
-    result = dilatation(params, tol, prec, cross_validate=g <= 8)
+    result = dilatation(params, tol, cross_validate=g <= 8)
     if result.defining_poly != core * IntPolynomial([-1, 1]):
         raise OracleMismatchError("closed form does not factor as (t-1) * core polynomial")
     lower_ok = _certifies_lower_bound(result.root.lower, g)
@@ -387,7 +380,7 @@ def minimizer(
         if lower_ok and upper_ok:
             break
         tol /= 100
-        result = replace(result, root=largest_real_root(result.defining_poly, 1, tol, prec))
+        result = replace(result, root=largest_real_root(result.defining_poly, 1, tol))
         lower_ok = _certifies_lower_bound(result.root.lower, g)
         upper_ok = _certifies_upper_bound(result.root.upper, g)
 

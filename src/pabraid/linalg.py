@@ -18,7 +18,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .poly import IntPolynomial
-from .spectral import DEFAULT_PREC_BITS, RootEnclosure, to_witness
+from .spectral import RootEnclosure, to_witness, witness_bits
 
 
 class IntMatrix:
@@ -140,9 +140,10 @@ def is_irreducible(m: IntMatrix) -> bool:
     return reaches_all(forward) and reaches_all(backward)
 
 
-def perron_root(m: IntMatrix, tol: float, prec: int = DEFAULT_PREC_BITS) -> RootEnclosure:
+def perron_root(m: IntMatrix, tol: float) -> RootEnclosure:
     """Rigorous enclosure of the Perron-Frobenius eigenvalue of a nonnegative
-    irreducible matrix, width at most ``tol``, with its witness at ``prec`` bits.
+    irreducible matrix, width at most ``tol``, with its midpoint as the
+    witness at the bits :func:`~pabraid.spectral.witness_bits` gives.
 
     Power iteration on ``M + I`` (the identity shift makes the iteration
     aperiodic without moving the Perron root by more than the exact +1) with
@@ -162,9 +163,8 @@ def perron_root(m: IntMatrix, tol: float, prec: int = DEFAULT_PREC_BITS) -> Root
     width = Fraction(tol)
     n = m.dim
     if n == 1:
-        c = m.entries[0][0]
-        lo, hi = Fraction(c) - width / 2, Fraction(c) + width / 2
-        return RootEnclosure(lo, hi, to_witness(Fraction(c), prec), certified=False)
+        c = Fraction(m.entries[0][0])
+        return RootEnclosure(c - width / 2, c + width / 2, to_witness(c, witness_bits(c, width)), certified=False)
     shifted = IntMatrix([[m.entries[i][j] + (i == j) for j in range(n)] for i in range(n)])
     x = [1] * n
     best_lo = Fraction(0)
@@ -181,7 +181,7 @@ def perron_root(m: IntMatrix, tol: float, prec: int = DEFAULT_PREC_BITS) -> Root
             lower = best_lo - 1 - width / 8
             upper = best_hi - 1 + width / 8
             mid = (lower + upper) / 2
-            return RootEnclosure(lower, upper, to_witness(mid, prec), certified=False)
+            return RootEnclosure(lower, upper, to_witness(mid, witness_bits(mid, upper - lower)), certified=False)
         g = gcd(*y)
         x = [v // g for v in y] if g > 1 else list(y)
     raise ArithmeticError("power iteration did not reach the requested width")

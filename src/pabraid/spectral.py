@@ -8,7 +8,8 @@ Two independent routes coexist deliberately and must stay independent:
   above a floor by Descartes' rule of signs over the integers and bisection
   on rational endpoints, so the returned enclosure is certified by exact
   sign evaluations.  The witness is polished on scaled integers too and
-  rounded once to a dyadic rational of ``prec`` significant bits.
+  rounded once to a dyadic rational of :func:`witness_bits` significant
+  bits, which the enclosure's width sets.
 
 * :func:`all_roots` is numeric.  It runs Aberth-Ehrlich simultaneous
   iteration, after an exact squarefree decomposition so that repeated roots
@@ -22,7 +23,7 @@ Two independent routes coexist deliberately and must stay independent:
   with the Newton residual of its last evaluation: the census compares
   moduli exactly, the Mahler measure is a fixed-point product at the bits
   of its root set.  No caller picks these bits: the accuracy asked for
-  sets them, and ``prec`` rounds the witnesses of the exact route alone.
+  sets them, here and for the witnesses of the exact route alike.
 
 :func:`sturm_chain` and :func:`count_roots_between` are a second exact root
 counter that no runtime code calls: every enclosure comes from Descartes
@@ -48,7 +49,7 @@ from .poly import (
 )
 
 DEFAULT_PREC_BITS = 128
-# below double precision the polished witness can fall outside its enclosure
+# the least working bits of a root set (see _target_bits)
 MIN_PREC_BITS = 53
 MAX_PREC_BITS = 1024
 
@@ -73,14 +74,23 @@ def to_witness(x: Fraction, prec: int = DEFAULT_PREC_BITS) -> Fraction:
     return Fraction(round(Fraction(num, den)) << max(e, 0), 1 << max(-e, 0))
 
 
+def witness_bits(x: Fraction, width: Fraction) -> int:
+    """Significant bits for a witness of magnitude up to ``|x|`` in an
+    enclosure of ``width``: ``64 + log2|x| - log2 width``, so that rounding
+    moves it by under ``2^-60`` of the width, and at least
+    :data:`DEFAULT_PREC_BITS`."""
+    return max(DEFAULT_PREC_BITS, 64 + _log2(x) - _log2(width))
+
+
 @dataclass(frozen=True)
 class RootEnclosure:
     """An interval known to contain one targeted real root.
 
     ``certified`` records whether the defining polynomial itself changes sign
     between the exact rational endpoints; the witness is a dyadic rational
-    of ``prec`` significant bits inside the interval (see :func:`to_witness`)
-    and carries no certainty of its own.
+    inside the interval, of the significant bits :func:`witness_bits` gives
+    for its width (see :func:`to_witness`), and carries no certainty of its
+    own.
     """
 
     lower: Fraction
@@ -92,7 +102,7 @@ class RootEnclosure:
         if not self.lower < self.upper:
             raise ValueError("enclosure requires lower < upper")
         if not self.lower <= self.witness <= self.upper:
-            raise ValueError("witness lies outside its enclosure: --tol is finer than --precision can resolve")
+            raise ValueError("witness lies outside its enclosure")
 
     @property
     def width(self) -> Fraction:
@@ -105,16 +115,15 @@ class RootEnclosure:
 
 @dataclass(frozen=True)
 class UnitCircleCensus:
-    """Counts of roots outside / on / inside the unit circle at tolerance ``tol``.
+    """Counts of roots outside / on / inside the unit circle.
 
-    Roots within ``tol`` of the circle are reported separately in
-    ``on_circle`` and never folded silently into the other buckets.
+    Roots within the census tolerance of the circle are reported separately
+    in ``on_circle`` and never folded silently into the other buckets.
     """
 
     outside: int
     on_circle: int
     inside: int
-    tol: float
 
     @property
     def total(self) -> int:
@@ -221,9 +230,10 @@ def _log2(x: Fraction) -> int:
     return abs(x.numerator).bit_length() - x.denominator.bit_length()
 
 
-def _polish_witness(g: IntPolynomial, lo: Fraction, hi: Fraction, sign_hi: int, prec: int):
+def _polish_witness(g: IntPolynomial, lo: Fraction, hi: Fraction, sign_hi: int):
     """The witness for ``(lo, hi)``: bracketed Newton iteration from the
-    midpoint on scaled integers ``k / 2^bits``, reported at ``prec`` bits.
+    midpoint on scaled integers ``k / 2^bits``, reported at the ``prec``
+    bits :func:`witness_bits` gives for the enclosure.
 
     ``g`` has one simple root in ``(lo, hi)`` and the exact sign ``sign_hi``
     at ``hi``.  ``bits`` gives the bracket several units and ``k`` at least
@@ -235,9 +245,10 @@ def _polish_witness(g: IntPolynomial, lo: Fraction, hi: Fraction, sign_hi: int, 
     stop below ``2^(8-prec) |k|`` or at a cap that lets bisection alone reach
     ``2^-(prec+16)``.  Only the witness depends on this, not the certificate.
     """
-    width = hi - lo
+    width, top = hi - lo, max(abs(lo), abs(hi))
+    prec = witness_bits(top, width)
     cap = prec + 16 + max(0, _log2(width) + 1)
-    bits = max(prec + 16 - _log2(max(abs(lo), abs(hi))), 4 - _log2(width))
+    bits = max(prec + 16 - _log2(top), 4 - _log2(width))
     a, b = round(lo * (1 << bits)), round(hi * (1 << bits))
     k = (a + b) >> 1
     for _ in range(cap):
@@ -259,12 +270,7 @@ def _polish_witness(g: IntPolynomial, lo: Fraction, hi: Fraction, sign_hi: int, 
     return to_witness(Fraction(k, 1 << bits), prec)
 
 
-def largest_real_root(
-    f: IntPolynomial,
-    floor: Fraction | int | None,
-    tol: float,
-    prec: int = DEFAULT_PREC_BITS,
-) -> RootEnclosure:
+def largest_real_root(f: IntPolynomial, floor: Fraction | int | None, tol: float) -> RootEnclosure:
     """Certified enclosure of the greatest real root of ``f`` strictly above
     ``floor`` (or the greatest real root overall when ``floor`` is None).
 
@@ -277,7 +283,8 @@ def largest_real_root(
     When a floor is given the enclosure lies strictly above it: while the
     lower endpoint is the floor, ``tol`` is divided by 100 (in floats) and
     bisection goes on.  ``certified`` is True when ``f`` itself changes sign
-    across the endpoints under exact evaluation.
+    across the endpoints under exact evaluation.  The witness has the bits
+    :func:`witness_bits` gives for the enclosure, so any ``tol`` has one.
 
     Raises :class:`NoRealRootError` when there is no real root above the
     floor.
@@ -335,7 +342,7 @@ def largest_real_root(
             tolf = Fraction(float(tolf) / 100) or tolf / 100
         else:
             certified = f.sign_at(lo) * f.sign_at(hi) < 0
-            return RootEnclosure(lo, hi, _polish_witness(g, lo, hi, sign_hi, prec), certified)
+            return RootEnclosure(lo, hi, _polish_witness(g, lo, hi, sign_hi), certified)
 
     # Enclose the rational root: halve delta until no other root of sqf is near.
     root, delta = lo, tolf / 2
@@ -346,7 +353,7 @@ def largest_real_root(
         lo, hi = root - delta, root + delta
         if _descartes(rest, lo, hi) == 0 and sqf.sign_at(lo) * sqf.sign_at(hi) < 0:
             certified = f.sign_at(lo) * f.sign_at(hi) < 0
-            return RootEnclosure(lo, hi, to_witness(root, prec), certified)
+            return RootEnclosure(lo, hi, to_witness(root, witness_bits(root, 2 * delta)), certified)
         delta /= 2
 
 
@@ -524,7 +531,7 @@ def count_outside_unit(f: IntPolynomial, tol: float = 1e-9) -> UnitCircleCensus:
             outside += 1
         else:
             inside += 1
-    census = UnitCircleCensus(outside, on_circle, inside, tol)
+    census = UnitCircleCensus(outside, on_circle, inside)
     if census.total != f.degree:
         raise ArithmeticError("census does not account for every root")
     return census

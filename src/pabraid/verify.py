@@ -86,19 +86,18 @@ Member = tuple[IntPolynomial, spectral.RootEnclosure]
 
 
 class _Session:
-    """One verify run: fixed tolerance and precision, memoised members."""
+    """One verify run: a fixed tolerance, memoised members."""
 
-    def __init__(self, bounds: _Bounds, tol: float, prec: int = spectral.DEFAULT_PREC_BITS):
+    def __init__(self, bounds: _Bounds, tol: float):
         self.bounds = bounds
         self.tol = tol
-        self.prec = prec
         self.rng = random.Random(_SEED)
         self._members: dict[tuple[Family, int, int], Member] = {}
 
     def member(self, family: Family, m: int, n: int) -> Member:
         key = (family, m, n)
         if key not in self._members:
-            res = families.dilatation(FamilyParams(family, m, n), self.tol, self.prec, cross_validate=False)
+            res = families.dilatation(FamilyParams(family, m, n), self.tol, cross_validate=False)
             self._members[key] = res.defining_poly, res.root
         return self._members[key]
 
@@ -140,12 +139,12 @@ def _below(a, b) -> Margin:
 def _ordered(s: _Session, lower: Member, upper: Member) -> Margin:
     """:func:`_below` for the greatest roots above 1 of two polynomials,
     re-isolated at 256 times finer tolerances while the enclosures meet and
-    one is at least ``2^-(prec-16)`` wide: a failure is never just width."""
+    one is at least ``2^-112`` wide: a failure is never just width."""
     (f, a), (g, b) = lower, upper
-    tol, finest = Fraction(s.tol), Fraction(1, 1 << (s.prec - 16))
+    tol, finest = Fraction(s.tol), Fraction(1, 1 << 112)
     while b.lower <= a.upper and max(a.width, b.width) >= finest:
         tol /= 256
-        a, b = (spectral.largest_real_root(h, 1, tol, s.prec) for h in (f, g))
+        a, b = (spectral.largest_real_root(h, 1, tol) for h in (f, g))
     return _below(a, b)
 
 
@@ -254,8 +253,8 @@ def _irreducible_support(s: _Session) -> Iterator[Margin]:
 
 def _perron_agreement(s: _Session) -> Iterator[Margin]:
     for m in range(1, s.bounds.rm + 1):
-        pr = linalg.perron_root(families.r_matrix(m), s.tol, s.prec)
-        rr = spectral.largest_real_root(families.r_poly(m), Fraction(1), s.tol, s.prec)
+        pr = linalg.perron_root(families.r_matrix(m), s.tol)
+        rr = spectral.largest_real_root(families.r_poly(m), Fraction(1), s.tol)
         yield _slack(2 * s.tol - abs(float(pr.midpoint - rr.midpoint)))
 
 
@@ -351,7 +350,7 @@ def _core_root_monotone(s: _Session) -> Iterator[Margin]:
     prev = None
     for m in range(1, 14):
         f = families.r_poly(m)
-        cur = f, spectral.largest_real_root(f, Fraction(1), s.tol, s.prec)
+        cur = f, spectral.largest_real_root(f, Fraction(1), s.tol)
         if prev is not None:
             yield _ordered(s, cur, prev)
         prev = cur
@@ -359,7 +358,7 @@ def _core_root_monotone(s: _Session) -> Iterator[Margin]:
 
 def _minimizer_bounds(s: _Session) -> Iterator[Margin]:
     for g in range(2, s.bounds.g + 1):
-        report = families.minimizer(g, s.tol, s.prec)
+        report = families.minimizer(g, s.tol)
         certified = report.lower_bound_ok and report.upper_bound_ok and report.core_sign_change_ok
         slack = 1e-8 - report.core_residual
         yield slack, certified and slack >= 0
@@ -413,11 +412,11 @@ _CHECKS: list[tuple[str, Callable[[_Bounds], str], Sweep]] = [
 ]
 
 
-def run_verify(depth: str = "quick", tol: float = 1e-9, prec: int = spectral.DEFAULT_PREC_BITS) -> VerifyReport:
-    """Run every registered check at the given depth, tolerance and witness precision."""
+def run_verify(depth: str = "quick", tol: float = 1e-9) -> VerifyReport:
+    """Run every registered check at the given depth and tolerance."""
     if depth not in _DEPTHS:
         raise ValueError(f"depth must be one of {sorted(_DEPTHS)}")
-    session = _Session(_DEPTHS[depth], tol, prec)
+    session = _Session(_DEPTHS[depth], tol)
     results = [
         CheckResult(check_id, range_of(session.bounds), *_fold(sweep(session)))
         for check_id, range_of, sweep in _CHECKS

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -199,9 +200,9 @@ def test_verify_quick_passes_at_coarse_tol(capsys, tol):
     assert report["summary"] == {"passed": 24, "total": 24}
 
 
-def test_verify_honours_precision(capsys):
-    # a 1e-45 enclosure needs more than the default 128-bit witness
-    assert cli.main(["verify", "--tol", "1e-45", "--precision", "256"]) == 0
+def test_verify_passes_at_a_fine_tol(capsys):
+    # each witness takes the bits its 1e-45 enclosure needs
+    assert cli.main(["verify", "--tol", "1e-45"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["summary"] == {"passed": 24, "total": 24}
 
@@ -250,8 +251,7 @@ def _with_base(argv, tmp_path):
 
 @pytest.mark.parametrize(
     "flag",
-    ["--tol=inf", "--tol=-inf", "--tol=nan", "--tol=0", "--tol=-1",
-     "--precision=52", "--precision=16", "--precision=0", "--precision=-5", "--precision=1025"],
+    ["--tol=inf", "--tol=-inf", "--tol=nan", "--tol=0", "--tol=-1"],
 )
 @pytest.mark.parametrize("argv", _SUBCOMMANDS, ids=lambda argv: argv[0])
 def test_bad_common_flag_rejected_before_work(argv, flag, tmp_path, capsys):
@@ -261,16 +261,22 @@ def test_bad_common_flag_rejected_before_work(argv, flag, tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_witness_outside_enclosure_is_rejected(capsys):
-    # at 128 bits the witness cannot resolve a 1e-45 enclosure
-    assert cli.main(["dilatation", "beta", "1", "1", "--tol", "1e-45"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert "--tol" in err and "--precision" in err
-    assert cli.main(["dilatation", "beta", "1", "1", "--tol", "1e-45", "--precision", "256"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert abs(data["root"]["witness"] - 2.618033989) < 1e-9
+@pytest.mark.parametrize("m, n, tol, witness", [("1", "1", "1e-45", 2.618033989), ("3", "7", "5e-324", 1.585236103)])
+def test_dilatation_at_a_fine_tol(run_cli, m, n, tol, witness):
+    # the witness takes its bits from the enclosure, down to the least double
+    proc = run_cli("dilatation", "beta", m, n, "--tol", tol)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    root = json.loads(proc.stdout)["root"]
+    assert 0 < Fraction(root["upper"]) - Fraction(root["lower"]) <= Fraction(float(tol))
+    assert root["witness"] == witness
+
+
+@pytest.mark.parametrize("argv", _SUBCOMMANDS, ids=lambda argv: argv[0])
+def test_precision_flag_is_gone(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(_with_base(argv, tmp_path) + ["--precision", "128"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --precision 128" in capsys.readouterr().err
 
 
 def test_argparse_rejects_unknown_family(capsys):
@@ -300,8 +306,8 @@ def test_salem_boyd_json_is_the_default(run_cli, tmp_path):
     )
 
 
-# below the 79 bits their 1e-18 target needs, root sets start at those bits
-_SB_JSON_53 = (
+# root sets start at the 79 bits their 1e-18 target needs
+_SB_JSON = (
     '{"n":0,"mahler":1.0,"lambda":-1.0,"outside":0,"on_circle":2}\n'
     '{"n":1,"mahler":3.732050808,"lambda":3.732050808,"outside":1,"on_circle":1}\n'
     '{"n":2,"mahler":2.618033989,"lambda":2.618033989,"outside":1,"on_circle":2}\n'
@@ -325,7 +331,7 @@ _SB_JSON_53 = (
     '{"n":20,"mahler":2.000002861,"lambda":2.000002861,"outside":1,"on_circle":20}\n'
     '{"n":"base","mahler":2.0,"lambda":2.0,"outside":1,"on_circle":1}\n'
 )
-_SB_CSV_64_MINUS = (
+_SB_CSV_MINUS = (
     'n,mahler,lambda,outside,on_circle\n'
     '0,3,1,0,4\n'
     '1,1,1,0,5\n'
@@ -345,8 +351,8 @@ _SB_CSV_64_MINUS = (
 
 
 @pytest.mark.parametrize("coeffs, flags, expected", [
-    ("-2,-1,1", ["20", "--precision", "53"], _SB_JSON_53),
-    ("-2,0,0,-1,1", ["12", "--precision", "64", "--sign", "minus", "--csv"], _SB_CSV_64_MINUS),
+    ("-2,-1,1", ["20"], _SB_JSON),
+    ("-2,0,0,-1,1", ["12", "--sign", "minus", "--csv"], _SB_CSV_MINUS),
 ])
 def test_salem_boyd_below_the_target_bits_is_pinned(run_cli, tmp_path, coeffs, flags, expected):
     proc = run_cli("salem-boyd", _base_file(tmp_path, coeffs), *flags)
@@ -354,8 +360,7 @@ def test_salem_boyd_below_the_target_bits_is_pinned(run_cli, tmp_path, coeffs, f
 
 
 def test_salem_boyd_root_sets_ignore_the_witness_precision(run_cli, tmp_path, monkeypatch):
-    # --precision rounds witnesses only: a 1e-18 root-set target starts
-    # refining at the 79 bits it needs, not at 1024
+    # a 1e-18 root-set target starts refining at the 79 bits it needs
     aberth, thresholds = spectral._aberth, []
 
     def recorded(step, zs, tiny, iters):
@@ -364,9 +369,17 @@ def test_salem_boyd_root_sets_ignore_the_witness_precision(run_cli, tmp_path, mo
         aberth(step, zs, tiny, iters)
 
     monkeypatch.setattr(spectral, "_aberth", recorded)
-    proc = run_cli("salem-boyd", _base_file(tmp_path, "-2,-1,1"), "10", "--precision", "1024")
+    proc = run_cli("salem-boyd", _base_file(tmp_path, "-2,-1,1"), "10")
     assert proc.returncode == 0
     assert thresholds[0] == 2.0 ** (16 - 79)
+
+
+def test_salem_boyd_at_a_fine_tol_prints_the_whole_table(run_cli, tmp_path):
+    base = _base_file(tmp_path, "-2,-1,1")
+    proc = run_cli("salem-boyd", base, "30", "--tol", "1e-45")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.count("\n") == 32
+    assert proc.stdout == run_cli("salem-boyd", base, "30").stdout
 
 
 def test_salem_boyd_zero_and_constant_rows(run_cli, tmp_path):

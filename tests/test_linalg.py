@@ -94,6 +94,13 @@ def test_perron_root_core_block_m2_anchor():
     assert abs(float(enc.witness) - 1.69562) <= 1e-5
 
 
+def test_perron_root_at_a_fine_tol():
+    # the witness takes the bits its enclosure needs: 128 cannot resolve 1e-45
+    enc = perron_root(r_matrix(3), 1e-45)
+    assert enc.width <= Fraction(1e-45)
+    assert enc.lower <= enc.witness <= enc.upper
+
+
 def test_perron_root_rejects_signed_and_reducible():
     with pytest.raises(ValueError):
         perron_root(transition_matrix(FamilyParams(Family.SIGMA, 1, 3)), 1e-6)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from pabraid import families, verify
+from pabraid import cli, families, verify
 from pabraid.poly import IntPolynomial
 from pabraid.spectral import RootEnclosure, to_witness
 
@@ -62,6 +62,13 @@ def test_equality_case_without_a_real_shared_root_fails(monkeypatch):
     monkeypatch.setattr(verify, "poly_gcd", lambda f, g: IntPolynomial([1, 0, 1]))
     session = verify._Session(verify._DEPTHS["quick"], 1e-9)
     assert verify._fold(verify._min_equality_case(session)) == (False, -1.0)
+
+
+def test_broken_prong_table_fails_the_balance_check(monkeypatch, capsys):
+    monkeypatch.setattr(families.SingularityData, "euler_poincare_sum", lambda self: 3)
+    checks = {c.check_id: c for c in verify.run_verify("quick").checks}
+    assert (checks["singularity-balance"].passed, checks["singularity-balance"].worst_margin) == (False, -1.0)
+    assert cli.main(["verify"]) == 1
 
 
 def test_registry_ids_are_unique():
