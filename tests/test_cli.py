@@ -200,8 +200,8 @@ def test_verify_quick_passes_at_coarse_tol(capsys, tol):
     assert report["summary"] == {"passed": 24, "total": 24}
 
 
-def test_verify_passes_at_a_fine_tol(capsys):
-    # each witness takes the bits its 1e-45 enclosure needs
+def test_verify_honours_precision(capsys):
+    # each witness takes the bits its 1e-45 enclosure needs, with no flag
     assert cli.main(["verify", "--tol", "1e-45"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["summary"] == {"passed": 24, "total": 24}
@@ -259,6 +259,19 @@ def test_bad_common_flag_rejected_before_work(argv, flag, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_witness_outside_enclosure_is_rejected(monkeypatch, capsys):
+    # at 53 bits the witness cannot resolve a 1e-45 enclosure: a one-line error
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "witness_bits", lambda x, width: 53)
+        assert cli.main(["dilatation", "beta", "1", "1", "--tol", "1e-45"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: witness lies outside its enclosure\n"
+    assert cli.main(["dilatation", "beta", "1", "1", "--tol", "1e-45"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert abs(data["root"]["witness"] - 2.618033989) < 1e-9
 
 
 @pytest.mark.parametrize("m, n, tol, witness", [("1", "1", "1e-45", 2.618033989), ("3", "7", "5e-324", 1.585236103)])

@@ -89,11 +89,14 @@ def test_largest_real_root_floor_none_finds_greatest_overall():
 
 
 @pytest.mark.parametrize("root", [Fraction(3, 2**100), Fraction(1, 3 * 2**100)], ids=["dyadic", "non-dyadic"])
-def test_witness_of_a_tiny_root_has_full_relative_precision(root):
-    # the enclosure at tol 1e-9 is far wider than the root itself
+@pytest.mark.parametrize("prec", [53, 128, 256])
+def test_witness_of_a_tiny_root_has_full_relative_precision(prec, root):
+    # the witness takes at least 128 bits, and more as tol narrows below the root
+    tol = 2.0 ** -(prec + 40)
     linear = IntPolynomial([-root.numerator, root.denominator])
-    enc = largest_real_root(linear * IntPolynomial([1, 0, 1]), None, 1e-9)
-    assert abs(enc.witness - root) <= root / 2**127
+    enc = largest_real_root(linear * IntPolynomial([1, 0, 1]), None, tol)
+    assert enc.width <= Fraction(tol)
+    assert abs(enc.witness - root) <= root / 2 ** (max(prec, 128) - 1)
 
 
 def _mpf_value(x) -> Fraction:
