@@ -111,20 +111,24 @@ def r_poly(m: int) -> IntPolynomial:
     return IntPolynomial(coeffs)
 
 
-def r_matrix(m: int) -> linalg.IntMatrix:
-    """The ``(m+1) x (m+1)`` cyclic-with-doubling transition block whose
-    characteristic polynomial is :func:`r_poly`.  Column j is the image of
-    the j-th edge vector."""
+def _r_rows(m: int, width: int) -> list[list[int]]:
+    """The rows of :func:`r_matrix`, each padded with zeros to ``width``."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    d = m + 1
-    rows = [[0] * d for _ in range(d)]
+    rows = [[0] * width for _ in range(m + 1)]
     for i in range(m - 1):
         rows[i][i + 1] = 1
     rows[m - 1][m] = 2
     rows[m][0] = 1
     rows[m][m] = 1
-    return linalg.IntMatrix(rows)
+    return rows
+
+
+def r_matrix(m: int) -> linalg.IntMatrix:
+    """The ``(m+1) x (m+1)`` cyclic-with-doubling transition block whose
+    characteristic polynomial is :func:`r_poly`.  Column j is the image of
+    the j-th edge vector."""
+    return linalg.IntMatrix(_r_rows(m, m + 1))
 
 
 def closed_form_poly(params: FamilyParams) -> IntPolynomial:
@@ -154,8 +158,7 @@ def transition_matrix(params: FamilyParams) -> linalg.IntMatrix:
     else:
         m, n = _normalized_sigma(params)
         flip = -1
-    rows = [list(row) + [0] * (n + 1) for row in r_matrix(m).entries]
-    rows += [[0] * (m + n + 2) for _ in range(n + 1)]
+    rows = _r_rows(m, m + n + 2) + [[0] * (m + n + 2) for _ in range(n + 1)]
     rows[m - 1][m + 1] = 1
     rows[m - 1][m + n + 1] = 1
     rows[m][m + 1] = 2

@@ -2,7 +2,7 @@
 polynomials, plus the two derived quantities used throughout: the Mahler
 measure and the unit-circle census.
 
-Two independent routes coexist deliberately and must stay independent:
+Two independent routes to real roots coexist and must stay independent:
 
 * :func:`largest_real_root` is exact.  It isolates the greatest real root
   above a floor by Descartes' rule of signs over the integers and bisection
@@ -20,16 +20,16 @@ Two independent routes coexist deliberately and must stay independent:
   at the bits its residual target needs and, while a residual misses,
   carries the roots it has to doubled precision (capped at 1024 bits)
   instead of starting over.  Each approximation is an exact dyadic pair
-  with the Newton residual of its last evaluation: the census compares
-  moduli exactly, the Mahler measure is a fixed-point product at the bits
-  of its root set.  No caller picks these bits: the accuracy asked for
-  sets them, here and for the witnesses of the exact route alike.
+  with the Newton residual of its last evaluation: the Mahler measure is a
+  fixed-point product at the bits of its root set.  No caller picks these
+  bits: the accuracy asked for sets them, here and for the witnesses of the
+  exact route alike.
 
-:func:`sturm_chain` and :func:`count_roots_between` are a second exact root
-counter that no runtime code calls: every enclosure comes from Descartes
-isolation.  They are the tests' independent oracle for that isolation, and
-they live here because the layer tracer of ``perfbench`` looks them up in
-this module by name.
+The unit-circle census (:func:`count_outside_unit`) takes no root set: it
+is exact, by Boyd's reciprocal splitting and Cauchy indices over one signed
+remainder routine, whose ``(g, g')`` case is :func:`sturm_chain`.  With
+:func:`count_roots_between` that chain is also the tests' independent
+oracle for Descartes isolation.
 """
 
 from __future__ import annotations
@@ -37,13 +37,16 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import frexp, inf, isqrt, lcm
 from typing import Sequence
 
 from .poly import (
     IntPolynomial,
     cauchy_root_bound,
+    poly_gcd,
     pseudo_rem,
+    reciprocal,
     squarefree_decomposition,
     squarefree_part,
 )
@@ -115,10 +118,8 @@ class RootEnclosure:
 
 @dataclass(frozen=True)
 class UnitCircleCensus:
-    """Counts of roots outside / on / inside the unit circle.
-
-    Roots within the census tolerance of the circle are reported separately
-    in ``on_circle`` and never folded silently into the other buckets.
+    """Counts of roots outside / on / inside the unit circle, with
+    multiplicity; exact, so ``on_circle`` holds the roots of modulus exactly 1.
     """
 
     outside: int
@@ -161,23 +162,20 @@ def _sign_changes(values: Sequence[int]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def sturm_chain(g: IntPolynomial) -> list[IntPolynomial]:
-    """Sturm chain of a squarefree integer polynomial; the tests' oracle for
-    Descartes isolation, with no caller in the runtime.
-
+def _signed_remainders(a: IntPolynomial, b: IntPolynomial) -> list[IntPolynomial]:
+    """Signed remainder sequence ``a, b, -rem(a, b), ...`` of coprime
+    integer polynomials, ``deg a >= 1`` and ``b != 0``, ending at a constant.
     Remainders are produced by pseudo-division and rescaled to primitive
     integer polynomials; each rescale is by a positive constant (the sign of
     ``lc(b)^delta`` is compensated), so sign variation counts are those of
-    the rational Sturm sequence.
+    the rational sequence.
     """
-    if g.is_zero() or g.degree == 0:
-        raise ValueError("sturm chain needs degree >= 1")
-    chain = [g, g.derivative()]
-    while chain[-1].degree is not None and chain[-1].degree >= 1:
+    chain = [a, b]
+    while chain[-1].degree:
         a, b = chain[-2], chain[-1]
         r = pseudo_rem(a, b)
         if r.is_zero():
-            raise ArithmeticError("polynomial was not squarefree")
+            raise ArithmeticError("remainder sequence of polynomials with a common factor")
         delta = a.degree - b.degree + 1
         positive_scale = b.leading > 0 or delta % 2 == 0
         r = -r if positive_scale else r
@@ -185,9 +183,19 @@ def sturm_chain(g: IntPolynomial) -> list[IntPolynomial]:
     return chain
 
 
+def sturm_chain(g: IntPolynomial) -> list[IntPolynomial]:
+    """Sturm chain of a squarefree integer polynomial: the signed remainder
+    sequence of ``(g, g')``.  The census counts the roots of its trace
+    polynomials with it, and the tests check Descartes isolation against it.
+    """
+    if g.is_zero() or g.degree == 0:
+        raise ValueError("sturm chain needs degree >= 1")
+    return _signed_remainders(g, g.derivative())
+
+
 def count_roots_between(chain: Sequence[IntPolynomial], a: Fraction, b: Fraction) -> int:
-    """Distinct real roots of ``chain[0]`` in the open interval ``(a, b)``;
-    like :func:`sturm_chain`, used only by the tests.
+    """Distinct real roots of ``chain[0]`` in the open interval ``(a, b)``,
+    from its :func:`sturm_chain`.
 
     Both endpoints must be non-roots of ``chain[0]``.
     """
@@ -496,7 +504,8 @@ def mahler_measure(f: IntPolynomial, tol: float = 1e-9) -> Fraction:
 
     The residual target handed to :func:`all_roots` is several orders below
     ``tol`` divided by the degree, so the propagated error of the product is
-    below ``tol`` with a wide margin.  The moduli ``|z| > 1`` are multiplied
+    below ``tol`` with a wide margin, and at least ``2^-1024``, the finest
+    that the cap of 1024 bits (with 32 guard bits) meets.  The moduli ``|z| > 1`` are multiplied
     in fixed point, ``isqrt`` of ``|z|^2`` at 32 fractional bits beyond the
     bits that target needs, and the product is rounded to those bits.
     """
@@ -504,7 +513,7 @@ def mahler_measure(f: IntPolynomial, tol: float = 1e-9) -> Fraction:
         raise ValueError("Mahler measure of the zero polynomial is undefined")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    target = min(1e-18, tol * 1e-4 / (f.degree + 1))
+    target = max(min(1e-18, tol * 1e-4 / (f.degree + 1)), 2.0**-MAX_PREC_BITS)
     prec = _target_bits(target)
     one = 1 << (prec + 32)
     measure = abs(f.leading) * one
@@ -515,23 +524,60 @@ def mahler_measure(f: IntPolynomial, tol: float = 1e-9) -> Fraction:
     return to_witness(Fraction(measure, one), prec)
 
 
+def _circle_pairs(g: IntPolynomial) -> tuple[int, int]:
+    """``(on, off)`` for a self-reciprocal ``g``: its roots on the circle and
+    its pairs ``z, 1/z`` off it.  Past the factors ``t -/+ 1``, ``g`` is
+    ``t^k T(t + 1/t)``, ``T = c_k + sum c_(k+j) V_j``, ``V_j(t + 1/t) = t^j + t^-j``:
+    a root of ``T`` in ``(-2, 2)`` is a pair on the circle, any other a pair off it.
+    """
+    on = 0
+    for root in (1, -1):
+        while g.sign_at(root) == 0:  # synthetic division by t - root
+            g, on = IntPolynomial(list(accumulate(g.coeffs[:0:-1], lambda q, c: c + root * q))[::-1]), on + 1
+    k = g.degree // 2
+    trace, v, w = IntPolynomial([g.coeffs[k]]), IntPolynomial([2]), IntPolynomial([0, 1])
+    for c in g.coeffs[k + 1:]:
+        trace, v, w = trace + w * c, w, w.shift(1) - v
+    inner = sum(mult * count_roots_between(sturm_chain(factor), Fraction(-2), Fraction(2))
+                for factor, mult in squarefree_decomposition(trace))
+    return on + 2 * inner, k - inner
+
+
+def _inside_count(h: IntPolynomial) -> int:
+    """Roots inside the circle of an ``h`` of degree ``e`` with none on it and
+    no pair ``z, 1/z``.  ``q(w) = (1 - w)^e h((1 + w) / (1 - w))`` is ``h(u - 1)``,
+    then ``v^e`` times that at ``u = 2/v``, then at ``v = 1 - w``.  With
+    ``q(iy) = A(y) + i B(y)``, ``2 inside - e`` is the Cauchy index of
+    ``A/B`` for odd ``e`` and of ``-B/A`` for even ``e``, read off the signed
+    remainder sequence of the denominator and the numerator.
+    """
+    e = h.degree
+    p = _taylor_shift([c << j for j, c in enumerate(_taylor_shift(h.coeffs, -1))][::-1], 1)  # q(-w)
+    a = IntPolynomial([c * (1, 0, -1, 0)[j % 4] for j, c in enumerate(p)])
+    b = IntPolynomial([c * (0, -1, 0, 1)[j % 4] for j, c in enumerate(p)])
+    chain = _signed_remainders(*((b, a) if e % 2 else (a, -b)))
+    twice = (_sign_changes([r.leading * (-1) ** r.degree for r in chain])
+             - _sign_changes([r.leading for r in chain]))  # variations at -inf less at +inf
+    if (twice + e) % 2 or abs(twice) > e:
+        raise ArithmeticError("Cauchy index disagrees with the degree")
+    return (twice + e) // 2
+
+
 def count_outside_unit(f: IntPolynomial, tol: float = 1e-9) -> UnitCircleCensus:
-    """Census of roots relative to the unit circle at tolerance ``tol``."""
+    """Exact census of the roots of ``f`` outside, on and inside the unit
+    circle, with multiplicity, in integer arithmetic; ``tol`` is ignored.
+    Roots at 0 are inside; ``g = gcd(f, f_*)`` holds every other root on the
+    circle and every pair ``z, 1/z``, and ``h = f / g`` the rest.
+    """
     if f.is_zero():
         raise ValueError("census of the zero polynomial is undefined")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    near, far = max(0, 1 - Fraction(tol)) ** 2, (1 + Fraction(tol)) ** 2
-    outside = on_circle = inside = 0
-    for r in all_roots(f, min(1e-18, tol * 1e-6)) if f.degree else []:
-        square = r.real**2 + r.imag**2
-        if near <= square <= far:
-            on_circle += 1
-        elif square > far:
-            outside += 1
-        else:
-            inside += 1
-    census = UnitCircleCensus(outside, on_circle, inside)
-    if census.total != f.degree:
+    zeros = next(i for i, c in enumerate(f.coeffs) if c)
+    f = IntPolynomial(f.coeffs[zeros:])
+    g = poly_gcd(f, reciprocal(f))
+    h = f.divexact(g)
+    on, pairs = _circle_pairs(g)
+    inside = _inside_count(h) if h.degree else 0
+    census = UnitCircleCensus(pairs + h.degree - inside, on, zeros + pairs + inside)
+    if census.total != f.degree + zeros:
         raise ArithmeticError("census does not account for every root")
     return census

@@ -395,6 +395,14 @@ def test_salem_boyd_at_a_fine_tol_prints_the_whole_table(run_cli, tmp_path):
     assert proc.stdout == run_cli("salem-boyd", base, "30").stdout
 
 
+def test_salem_boyd_at_a_subnormal_tol(run_cli, tmp_path):
+    # the Mahler target tol * 1e-4 / (deg + 1) underflows to 0 here; it is floored
+    base = _base_file(tmp_path, "-2,-1,1")
+    proc = run_cli("salem-boyd", base, "3", "--tol", "5e-324")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == run_cli("salem-boyd", base, "3", "--tol", "1e-310").stdout
+
+
 def test_salem_boyd_zero_and_constant_rows(run_cli, tmp_path):
     # base 1, minus sign: q_0 = 0 and the base itself are constant, so every cell is empty
     base = _base_file(tmp_path, "1")

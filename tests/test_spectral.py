@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from pabraid import spectral
+from pabraid import cli, spectral
 from pabraid.families import r_matrix, r_poly
 from pabraid.linalg import perron_root
 from pabraid.poly import IntPolynomial, SalemBoydSpec, Sign, cauchy_root_bound, salem_boyd, squarefree_part
@@ -317,15 +317,82 @@ def test_census_examples():
 
 
 def test_census_compares_moduli_exactly():
-    # the root of 2^30 t - (2^30 + 1) has modulus exactly 1 + 2^-30
+    # the root of 2^30 t - (2^30 + 1) has modulus exactly 1 + 2^-30, outside at every tol
     f = IntPolynomial([-(2**30 + 1), 2**30])
-    census = count_outside_unit(f, tol=2.0**-30 + 2.0**-60)
-    assert (census.outside, census.on_circle, census.inside) == (0, 1, 0)
-    census = count_outside_unit(f, tol=2.0**-30 - 2.0**-60)
-    assert (census.outside, census.on_circle, census.inside) == (1, 0, 0)
-    # with tol > 1 the inner radius 1 - tol is clamped to 0
+    for tol in (2.0**-30 + 2.0**-60, 2.0**-30 - 2.0**-60, 0.5):
+        census = count_outside_unit(f, tol=tol)
+        assert (census.outside, census.on_circle, census.inside) == (1, 0, 0)
+    # the root of t is inside, whatever the tol
     census = count_outside_unit(IntPolynomial([0, 1]), tol=2.0)
-    assert (census.outside, census.on_circle, census.inside) == (0, 1, 0)
+    assert (census.outside, census.on_circle, census.inside) == (0, 0, 1)
+
+
+def _product(*factors):
+    out = IntPolynomial.one()
+    for factor in factors:
+        out = out * IntPolynomial(factor)
+    return out
+
+
+@pytest.mark.parametrize("f, expected", [
+    (_product([0, 0, 0, -2, 1]), (1, 0, 3)),  # t^3 (t - 2)
+    (_product([1, 0, 1], [1, 0, 1]), (0, 4, 0)),  # (t^2 + 1)^2
+    (_product([-1, 1], [-1, 1], [-1, 1], [1, 1], [1, 1]), (0, 5, 0)),  # (t - 1)^3 (t + 1)^2
+    (_product([-2, 1], [-2, 1], [-1, 2]), (2, 0, 1)),  # a reciprocal pair of unequal multiplicity
+    (_product([3, 1, 1], [-1, 2]), (2, 0, 1)),  # h of odd degree
+    (_product([3, 1, 1], [1, 1, 4]), (2, 0, 2)),  # h of even degree
+    (_product([3, 1, 1], [1, 1, 3], [1, 1, 1], [-5, 1]), (3, 2, 2)),  # both parts at once
+], ids=["zeros", "double-pair", "plus-minus-one", "unequal-pair", "odd-h", "even-h", "mixed"])
+def test_census_of_exact_cases(f, expected):
+    census = count_outside_unit(f)
+    assert (census.outside, census.on_circle, census.inside) == expected
+
+
+def _numeric_census(f):
+    """Census from the Aberth root set, with a 1e-9 band around the circle."""
+    counts = {"outside": 0, "on_circle": 0, "inside": 0}
+    for r in all_roots(f, 1e-18):
+        gap = r.real**2 + r.imag**2 - 1
+        counts["outside" if gap > 1e-9 else "inside" if gap < -1e-9 else "on_circle"] += 1
+    return counts["outside"], counts["on_circle"], counts["inside"]
+
+
+def _census_sweep():
+    rng = random.Random(19)
+    for _ in range(120):
+        degree = rng.randint(1, 14)
+        yield IntPolynomial([rng.randint(-3, 3) for _ in range(degree)] + [rng.choice([-2, -1, 1, 2])])
+    for text in ("-2,-1,1", "-2,0,0,-1,1", "-1,-1,0,1", "1,-1,-1,0,1"):
+        base = IntPolynomial.from_text(text)
+        yield base
+        for n in range(41):
+            for sign in (Sign.PLUS, Sign.MINUS):
+                yield salem_boyd(SalemBoydSpec(base, n, sign))
+
+
+def test_census_matches_the_numeric_census_on_a_seeded_sweep():
+    # the last two bases make classical Schur-Cohn singular
+    for f in _census_sweep():
+        if f.degree:
+            census = count_outside_unit(f)
+            assert (census.outside, census.on_circle, census.inside) == _numeric_census(f), f
+
+
+def test_census_computes_no_root_set(monkeypatch, tmp_path):
+    calls = []
+
+    def counted(f, *args, **kwargs):
+        calls.append(f.degree)
+        return all_roots(f, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "all_roots", counted)
+    for n in range(41):
+        count_outside_unit(salem_boyd(SalemBoydSpec(R1, n, Sign.PLUS)))
+    assert calls == []
+    base = tmp_path / "base.txt"
+    base.write_text("-2,-1,1\n")
+    assert cli.main(["salem-boyd", str(base), "40"]) == 0
+    assert len(calls) == 42  # one Mahler measure per row, none for the census
 
 
 def test_census_counts_outside_complex_roots():
